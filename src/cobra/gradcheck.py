@@ -95,6 +95,31 @@ def _check_model_loss(
     return CheckResult(name=name, max_rel_err=err)
 
 
+def _check_literal_contrastive(
+    name: str, seed: int, corrupt: str | None, contrastive_variant: str
+) -> CheckResult:
+    """The literal setform/NCE forms on joint embeddings drawn from the
+    positive orthant, so every dot product stays far above CLAMP_FLOOR."""
+    rng = np.random.default_rng(seed)
+    o_i = Param("o_image", rng.uniform(0.5, 1.5, size=(4, 3)))
+    o_t = Param("o_text", rng.uniform(0.5, 1.5, size=(4, 3)))
+    y = np.array([0, 1, 2, 0])
+    sets, _ = losses.sample_contrastive_sets(y, y, 3, np.random.default_rng(12345))
+
+    def loss():
+        if contrastive_variant == "setform":
+            return losses.contrastive_loss_setform(sets, o_i.value, o_t.value, "literal")[:3]
+        return losses.nce_loss(sets, o_i.value, o_t.value, form="literal")
+
+    _, g_i, g_t = loss()
+    analytic = {"o_image": g_i, "o_text": g_t}
+    if corrupt is not None and corrupt in analytic:
+        analytic[corrupt] = analytic[corrupt] + 1.0
+    numeric = finite_diff_grad(lambda: loss()[0], [o_i, o_t], epsilon=EPSILON)
+    err = max(max_rel_err(analytic[n], numeric[n]) for n in numeric)
+    return CheckResult(name=name, max_rel_err=err)
+
+
 def _check_affine(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     w = Param("affine.w", rng.normal(size=(5, 3)))
@@ -170,6 +195,10 @@ def run_gradcheck(seed: int = 0, corrupt: str | None = None) -> list[CheckResult
             nce_form="log",
         )
     )
+    results.append(
+        _check_literal_contrastive("loss_c_setform_literal", seed, corrupt, "setform")
+    )
+    results.append(_check_literal_contrastive("loss_c_nce_literal", seed, corrupt, "nce"))
     results.append(
         _check_model_loss(
             "loss_total",

@@ -20,7 +20,7 @@ the raw sums. The contrastive term is always a mean over drawn sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +44,22 @@ class LossWeights:
             raise ConfigError("at least one loss weight must be positive")
 
 
-Ref = tuple[str, int]  # (modality, row index within that modality's batch)
+# Anchors per block of the in-batch score matrix. Contrastive temporaries are
+# block x rows, so scoring a whole validation split keeps memory bounded.
+_ANCHOR_BLOCK = 256
 
 
-@dataclass
-class ContrastiveSet:
-    anchor: Ref
-    positive: Ref
-    negatives: list[Ref]
+@dataclass(eq=False)
+class ContrastiveSets:
+    """Drawn sets as indices into the stacked [image; text] minibatch rows:
+    anchor (A,), positive (A,) and negatives (A, N). len() counts the sets."""
+
+    anchor: np.ndarray
+    positive: np.ndarray
+    negatives: np.ndarray
+
+    def __len__(self) -> int:
+        return self.anchor.shape[0]
 
 
 @dataclass
@@ -143,68 +151,95 @@ def supervised_loss(o, labels, num_classes, reduction="sum"):
 
 
 def sample_contrastive_sets(
-    labels_image,
-    labels_text,
-    n_negatives: int,
-    rng: np.random.Generator,
-    sets_per_batch: int | None = None,
-) -> tuple[list[ContrastiveSet], int]:
-    """Draws anchor/positive/negative sets from one minibatch.
+    labels_image, labels_text, n_negatives: int, rng: np.random.Generator
+) -> tuple[ContrastiveSets, int]:
+    """Draws one set per eligible row of the stacked [image; text] minibatch.
 
-    Every row is an anchor candidate (default one set per eligible anchor).
-    The positive shares the anchor's modality and class; negatives come from
-    any modality with a different class, with replacement when fewer than
-    n_negatives distinct candidates exist. Anchors without any in-batch
-    positive are skipped and counted. Returns (sets, skipped_count).
+    The positive is uniform over the other rows of the anchor's modality and
+    class. The negatives are uniform over the rows of any modality with a
+    different class: without replacement, or with replacement when fewer
+    than n_negatives such rows exist. Anchors without a positive or without
+    a negative are skipped and counted. Returns (sets, skipped_count).
     """
     if n_negatives < 1:
         raise ConfigError(f"n_negatives must be >= 1, got {n_negatives}")
-    rows: list[tuple[Ref, int]] = [
-        (("image", i), int(c)) for i, c in enumerate(np.asarray(labels_image))
-    ] + [(("text", i), int(c)) for i, c in enumerate(np.asarray(labels_text))]
+    n_image = np.asarray(labels_image).size
+    labels = np.concatenate([np.asarray(labels_image), np.asarray(labels_text)])
+    n_rows = labels.size
+    _, cls, cls_count = np.unique(labels, return_inverse=True, return_counts=True)
+    grp = cls + cls_count.size * (np.arange(n_rows) >= n_image)  # (modality, class)
+    _, grp, grp_count = np.unique(grp, return_inverse=True, return_counts=True)
+    n_pos = grp_count[grp] - 1
+    n_pool = n_rows - cls_count[cls]
+    anchor = np.flatnonzero((n_pos > 0) & (n_pool > 0))
 
-    anchors = list(range(len(rows)))
-    if sets_per_batch is not None and sets_per_batch < len(anchors):
-        anchors = list(rng.choice(len(rows), size=sets_per_batch, replace=False))
+    # positive: the k-th row of the anchor's group in row order, the anchor left out
+    by_grp = np.argsort(grp, kind="stable")
+    grp_start = np.cumsum(grp_count) - grp_count
+    rank = np.empty(n_rows, dtype=np.intp)
+    rank[by_grp] = np.arange(n_rows) - grp_start[grp[by_grp]]
+    k = rng.integers(n_pos[anchor])
+    positive = by_grp[grp_start[grp[anchor]] + k + (k >= rank[anchor])]
 
-    sets: list[ContrastiveSet] = []
-    skipped = 0
-    for a_idx in anchors:
-        (a_ref, a_cls) = rows[a_idx]
-        positives = [
-            r
-            for j, (r, c) in enumerate(rows)
-            if j != a_idx and c == a_cls and r[0] == a_ref[0]
-        ]
-        negatives_pool = [r for (r, c) in rows if c != a_cls]
-        if not positives or not negatives_pool:
-            skipped += 1
-            continue
-        pos = positives[rng.integers(len(positives))]
-        replace = len(negatives_pool) < n_negatives
-        picks = rng.choice(len(negatives_pool), size=n_negatives, replace=replace)
-        negs = [negatives_pool[k] for k in picks]
-        sets.append(ContrastiveSet(anchor=a_ref, positive=pos, negatives=negs))
-    return sets, skipped
-
-
-def _gather(o_image, o_text, ref: Ref) -> np.ndarray:
-    return (o_image if ref[0] == "image" else o_text)[ref[1]]
+    negatives = np.empty((anchor.size, n_negatives), dtype=np.intp)
+    wide = n_pool[anchor] >= n_negatives
+    # without replacement: the n_negatives pool rows with the smallest uniform keys
+    idx = np.flatnonzero(wide)
+    for lo in range(0, idx.size, _ANCHOR_BLOCK):
+        blk = idx[lo : lo + _ANCHOR_BLOCK]
+        keys = rng.random((blk.size, n_rows))
+        keys[cls[anchor[blk], None] == cls] = 2.0
+        negatives[blk] = np.argpartition(keys, n_negatives - 1, axis=1)[:, :n_negatives]
+    # with replacement: the k-th pool row, rows ordered by class
+    idx = np.flatnonzero(~wide)
+    c = cls[anchor[idx], None]
+    k = rng.integers(n_pool[anchor[idx], None], size=(idx.size, n_negatives))
+    by_cls = np.argsort(cls, kind="stable")
+    cls_start = np.cumsum(cls_count) - cls_count
+    negatives[idx] = by_cls[k + cls_count[c] * (k >= cls_start[c])]
+    return ContrastiveSets(anchor, positive, negatives), n_rows - anchor.size
 
 
-class _GradSink:
-    """Accumulates per-row joint-space gradients for both modalities."""
+def _scatter(values, cols, n_cols: int) -> np.ndarray:
+    """Dense (rows, n_cols) matrix holding values[i, j] at [i, cols[i, j]];
+    repeated columns add up."""
+    n = values.shape[0]
+    flat = (np.arange(n)[:, None] * n_cols + cols).ravel()
+    dense = np.bincount(flat, values.ravel(), n * n_cols).reshape(n, n_cols)
+    return dense.astype(values.dtype, copy=False)
 
-    def __init__(self, o_image, o_text):
-        self.d_image = np.zeros_like(o_image)
-        self.d_text = np.zeros_like(o_text)
 
-    def add(self, ref: Ref, g: np.ndarray):
-        (self.d_image if ref[0] == "image" else self.d_text)[ref[1]] += g
+def _in_batch(sets: ContrastiveSets, o_image, o_text, block_loss):
+    """Scores anchors against every stacked [image; text] row, a block of
+    anchors at a time, and backpropagates through the dot products.
+
+    block_loss(dots, anchor, cand) gets a block's dot products with every
+    row (B, rows), its anchor rows (B,) and candidate rows (B, N+1; the
+    positive first). It returns (summed set loss, gradient w.r.t. dots,
+    clamp count). Returns (mean loss, grad_o_image, grad_o_text, clamp count).
+    """
+    if len(sets) == 0:
+        return 0.0, np.zeros_like(o_image), np.zeros_like(o_text), 0
+    x = np.concatenate([o_image, o_text], axis=0)
+    d_x = np.zeros_like(x)
+    cand = np.column_stack([sets.positive, sets.negatives])
+    total, clamped = 0.0, 0
+    for lo in range(0, len(sets), _ANCHOR_BLOCK):
+        a = sets.anchor[lo : lo + _ANCHOR_BLOCK]
+        x_a = x[a]
+        value, d_dots, n_clamped = block_loss(x_a @ x.T, a, cand[lo : lo + _ANCHOR_BLOCK])
+        total += value
+        clamped += n_clamped
+        d_x += d_dots.T @ x_a
+        np.add.at(d_x, a, d_dots @ x)
+    inv_n = 1.0 / len(sets)
+    d_x *= inv_n
+    n_image = o_image.shape[0]
+    return inv_n * total, d_x[:n_image], d_x[n_image:], clamped
 
 
 def contrastive_loss_setform(
-    sets: list[ContrastiveSet],
+    sets: ContrastiveSets,
     o_image,
     o_text,
     score_mode: str = "exp",
@@ -218,44 +253,30 @@ def contrastive_loss_setform(
         raise ConfigError(f"temperature must be positive, got {temperature}")
     if score_mode not in ("exp", "literal"):
         raise ConfigError(f"score_mode must be exp|literal, got {score_mode!r}")
-    sink = _GradSink(o_image, o_text)
-    if not sets:
-        return 0.0, sink.d_image, sink.d_text, 0
 
-    total = 0.0
-    clamped = 0
-    inv_n = 1.0 / len(sets)
-    for cs in sets:
-        a = _gather(o_image, o_text, cs.anchor)
-        others = [cs.positive] + cs.negatives
-        vecs = np.stack([_gather(o_image, o_text, r) for r in others])
-        dots = vecs @ a / temperature
-
+    def block_loss(dots, anchor, cand):
+        raw = dots[np.arange(cand.shape[0])[:, None], cand]
         if score_mode == "exp":
             # -log softmax weight of the positive among {p, n_1..n_N}
-            m = dots.max()
-            e = np.exp(dots - m)
-            q = e / e.sum()
-            total += inv_n * float(np.log(e.sum()) + m - dots[0])
-            d_dots = q.copy()
-            d_dots[0] -= 1.0
-            d_dots *= inv_n
-        else:
-            raw = vecs @ a
-            clamped += int(np.sum(raw < CLAMP_FLOOR))
-            u = np.maximum(raw, CLAMP_FLOOR)
-            denom = u.sum()
-            total += inv_n * float(np.log(denom) - np.log(u[0]))
-            d_u = np.full_like(u, 1.0 / denom)
-            d_u[0] -= 1.0 / u[0]
-            d_u[raw < CLAMP_FLOOR] = 0.0
-            d_dots = d_u * inv_n * temperature  # undo the 1/tau below
+            z = raw / temperature
+            m = z.max(axis=1, keepdims=True)
+            e = np.exp(z - m)
+            e_sum = e.sum(axis=1, keepdims=True)
+            value = float(np.sum(np.log(e_sum) + m - z[:, :1]))
+            d_raw = e / e_sum
+            d_raw[:, 0] -= 1.0
+            d_raw /= temperature
+            return value, _scatter(d_raw, cand, dots.shape[1]), 0
+        low = raw < CLAMP_FLOOR
+        u = np.maximum(raw, CLAMP_FLOOR)
+        denom = u.sum(axis=1, keepdims=True)
+        value = float(np.sum(np.log(denom) - np.log(u[:, :1])))
+        d_raw = np.repeat(1.0 / denom, u.shape[1], axis=1)
+        d_raw[:, 0] -= 1.0 / u[:, 0]
+        d_raw[low] = 0.0
+        return value, _scatter(d_raw, cand, dots.shape[1]), int(low.sum())
 
-        scale = 1.0 / temperature
-        sink.add(cs.anchor, scale * (d_dots @ vecs))
-        for d, r in zip(d_dots, others):
-            sink.add(r, scale * d * a)
-    return total, sink.d_image, sink.d_text, clamped
+    return _in_batch(sets, o_image, o_text, block_loss)
 
 
 def nce_posterior(score_joint: float, noise: NoiseModel) -> float:
@@ -267,85 +288,52 @@ def nce_posterior(score_joint: float, noise: NoiseModel) -> float:
 
 
 def nce_loss(
-    sets: list[ContrastiveSet],
+    sets: ContrastiveSets,
     o_image,
     o_text,
-    noise: NoiseModel | None = None,
     form: str = "log",
     temperature: float = 1.0,
 ):
     """NCE objective over the drawn sets, mean over anchors.
 
     p_J(s|a) is softmax(a.s / temperature) over every minibatch row except
-    the anchor; p_N is uniform over that same pool. The ``log`` form is the
-    standard NCE log-likelihood; ``literal`` sums the posteriors directly.
+    the anchor; p_N is uniform over that same pool, with N = n_negatives
+    noise samples. The ``log`` form is the standard NCE log-likelihood;
+    ``literal`` sums the posteriors directly.
     Returns (value, grad_o_image, grad_o_text).
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
     if form not in ("log", "literal"):
         raise ConfigError(f"form must be log|literal, got {form!r}")
-    sink = _GradSink(o_image, o_text)
-    if not sets:
-        return 0.0, sink.d_image, sink.d_text
 
-    combined = np.concatenate([o_image, o_text], axis=0)
-    n_image = o_image.shape[0]
-
-    def gidx(ref: Ref) -> int:
-        return ref[1] if ref[0] == "image" else n_image + ref[1]
-
-    pool_size = combined.shape[0] - 1  # every row but the anchor
-    total = 0.0
-    inv_n = 1.0 / len(sets)
-    for cs in sets:
-        a_i = gidx(cs.anchor)
-        a = combined[a_i]
-        pool = np.delete(np.arange(combined.shape[0]), a_i)
-        n_noise = len(cs.negatives)
-        nm = noise or NoiseModel(n_noise=n_noise, noise_density=1.0 / pool_size)
-
-        scores = combined[pool] @ a / temperature
-        m = scores.max()
-        e = np.exp(scores - m)
-        pi = e / e.sum()  # p_J(s|a) over the pool
-
-        pos_in_pool = {g: k for k, g in enumerate(pool)}
-        base = nm.n_noise * nm.noise_density
-        h = pi / (pi + base)  # posterior per pool row
-
-        d_pi = np.zeros_like(pi)
-        k_pos = pos_in_pool[gidx(cs.positive)]
+    def block_loss(dots, anchor, cand):
+        n_rows = dots.shape[1]
+        base = (cand.shape[1] - 1) / (n_rows - 1)  # N * p_N
+        s = dots / temperature
+        s[np.arange(anchor.size), anchor] = -np.inf  # the anchor is not in its pool
+        s -= s.max(axis=1, keepdims=True)
+        pi = np.exp(s)
+        pi /= pi.sum(axis=1, keepdims=True)
+        p = pi[np.arange(anchor.size)[:, None], cand]
+        h = p / (p + base)  # posterior of the positive and each negative
         # d h / d pi = h (1 - h) / pi = base / (pi + base)^2; the latter form
         # stays finite when pi underflows to 0
         if form == "log":
-            loss = -np.log(h[k_pos])
-            d_pi[k_pos] += -base / (pi[k_pos] * (pi[k_pos] + base))
-            for neg in cs.negatives:
-                k = pos_in_pool[gidx(neg)]
-                loss += -np.log1p(-h[k])
-                d_pi[k] += 1.0 / (pi[k] + base)
+            value = -np.sum(np.log(h[:, 0])) - np.sum(np.log1p(-h[:, 1:]))
+            d_p = 1.0 / (p + base)
+            d_p[:, 0] = -base / (p[:, 0] * (p[:, 0] + base))
         else:
-            loss = -h[k_pos]
-            d_pi[k_pos] += -base / (pi[k_pos] + base) ** 2
-            for neg in cs.negatives:
-                k = pos_in_pool[gidx(neg)]
-                loss += -(1.0 - h[k])
-                d_pi[k] += base / (pi[k] + base) ** 2
-        total += inv_n * float(loss)
-
+            value = -np.sum(h[:, 0]) - np.sum(1.0 - h[:, 1:])
+            d_p = base / (p + base) ** 2
+            d_p[:, 0] *= -1.0
         # softmax backward: d/ds_t = pi_t * (d_pi_t - sum_s d_pi_s pi_s)
-        d_scores = pi * (d_pi - float(d_pi @ pi))
-        d_scores *= inv_n / temperature
-        d_a = d_scores @ combined[pool]
-        d_pool = np.outer(d_scores, a)
+        d_pi = _scatter(d_p, cand, n_rows)
+        d_s = pi * (d_pi - np.sum(d_p * p, axis=1, keepdims=True))
+        return float(value), d_s / temperature, 0
 
-        d_combined = np.zeros_like(combined)
-        d_combined[pool] += d_pool
-        d_combined[a_i] += d_a
-        sink.d_image += d_combined[:n_image]
-        sink.d_text += d_combined[n_image:]
-    return total, sink.d_image, sink.d_text
+    value, d_image, d_text, _ = _in_batch(sets, o_image, o_text, block_loss)
+    return value, d_image, d_text
 
 
 def total_loss(
@@ -360,7 +348,6 @@ def total_loss(
     nce_form: str = "log",
     temperature: float = 1.0,
     reduction: str = "mean",
-    paired: bool = True,
 ) -> LossBreakdown:
     """Assembles the weighted objective and its upstream gradients from a
     ForwardCache. Component gradients targeting the same tensor are summed
@@ -378,8 +365,6 @@ def total_loss(
     bd.d_xhat_text += weights.lambda_r * g_xt
 
     if weights.lambda_m > 0:
-        if not paired:
-            raise ConfigError("cross-modal loss requires paired minibatches")
         bd.l_m, g_ot, g_oi = cross_modal_loss(txt.o, img.o, reduction)
         bd.d_o_text += weights.lambda_m * g_ot
         bd.d_o_image += weights.lambda_m * g_oi

@@ -1,9 +1,8 @@
 """Minibatch SGD training of the joint-embedding model, epoch reporting,
 best-on-validation checkpointing, and second-stage classifier training.
 
-When the cross-modal weight is positive, one index list is shared by both
-modalities so every sampled row is a genuine pair; with the weight at zero
-the two modalities are sampled independently.
+One index list is shared by both modalities, so every sampled row is a
+genuine pair.
 """
 
 from __future__ import annotations
@@ -64,7 +63,8 @@ class EpochReport:
         return (
             f"epoch={self.epoch} l_r={self.l_r:.6g} l_m={self.l_m:.6g} "
             f"l_s={self.l_s:.6g} l_c={self.l_c:.6g} total={self.total:.6g} "
-            f"skipped={self.skipped_anchors} secs={self.seconds:.6g}"
+            f"skipped={self.skipped_anchors} secs={self.seconds:.6g} "
+            f"val_total={self.val_total:.6g} clamped={self.clamped_scores}"
         )
 
 
@@ -85,18 +85,19 @@ class TrainResult:
     best_path: str | None
 
 
+def _clip_batch(b: int, n_pairs: int) -> int:
+    if b > n_pairs:
+        print(f"warning: batch {b} > {n_pairs} pairs, clipping", file=sys.stderr)
+    return min(b, n_pairs)
+
+
 def sample_minibatch(paired: PairedDataset, b: int, rng: np.random.Generator):
     """Uniform pair indices without replacement within the batch.
 
     Returns (x_image, y_image, x_text, y_text, idx); the same index list
     feeds both modalities so cross-modal pairing holds.
     """
-    if b > paired.n_pairs:
-        print(
-            f"warning: batch {b} > {paired.n_pairs} pairs, clipping",
-            file=sys.stderr,
-        )
-        b = paired.n_pairs
+    b = _clip_batch(b, paired.n_pairs)
     idx = rng.choice(paired.n_pairs, size=b, replace=False)
     return (
         paired.image.features[idx],
@@ -155,8 +156,11 @@ def train_step(state: TrainState, minibatch) -> LossBreakdown:
 
 
 def validation_loss(
-    model: CobraModel, paired: PairedDataset, cfg: TrainConfig, rng
+    model: CobraModel, paired: PairedDataset, cfg: TrainConfig, streams: RngStreams
 ) -> float:
+    """Total loss on the whole of `paired` in eval mode. Every call draws the
+    contrastive sets from the same run-constant generator key, so epochs are
+    compared on the same sets."""
     dtype = model.dtype
     cache = model_mod.forward_full(
         model,
@@ -164,20 +168,8 @@ def validation_loss(
         paired.text.features.astype(dtype),
         mode="eval",
     )
-    bd = losses.total_loss(
-        cache,
-        paired.image.labels,
-        paired.text.labels,
-        cfg.weights,
-        rng,
-        n_negatives=cfg.n_negatives,
-        contrastive_variant=cfg.contrastive_variant,
-        score_mode=cfg.score_mode,
-        nce_form=cfg.nce_form,
-        temperature=cfg.temperature,
-        reduction=cfg.reduction,
-    )
-    return bd.total
+    val_rng = streams.derive(4, 0)
+    return _compute_losses(cache, paired.image.labels, paired.text.labels, cfg, val_rng).total
 
 
 def train(
@@ -206,7 +198,8 @@ def train(
         seed=config.seed,
     )
     state = TrainState(model=m, config=config, streams=streams)
-    iters = config.iters_per_epoch or -(-train_pair.n_pairs // config.batch)
+    batch = _clip_batch(config.batch, train_pair.n_pairs)
+    iters = config.iters_per_epoch or -(-train_pair.n_pairs // batch)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -219,13 +212,12 @@ def train(
         sums = np.zeros(5)
         skipped = clamped = 0
         for _ in range(iters):
-            mb = sample_minibatch(train_pair, config.batch, mb_rng)
+            mb = sample_minibatch(train_pair, batch, mb_rng)
             bd = train_step(state, mb)
             sums += (bd.l_r, bd.l_m, bd.l_s, bd.l_c, bd.total)
             skipped += bd.skipped_anchors
             clamped += bd.clamped_scores
-        val_rng = streams.derive(4, epoch)
-        val_total = validation_loss(state.model, val_pair, config, val_rng)
+        val_total = validation_loss(state.model, val_pair, config, streams)
         report = EpochReport(
             epoch=epoch,
             l_r=sums[0] / iters,

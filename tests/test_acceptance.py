@@ -20,7 +20,7 @@ from cobra import (
     losses,
     training,
 )
-from cobra.losses import ContrastiveSet, LossWeights, NoiseModel
+from cobra.losses import ContrastiveSets, LossWeights, NoiseModel
 from cobra.training import HeadConfig, TrainConfig
 
 
@@ -85,8 +85,8 @@ def test_criterion_2_closed_form_identities(capsys):
     # uniform scores: setform loss is log(N+1)
     for n in (1, 5, 10):
         o = np.ones((n + 2, 3))
-        cs = ContrastiveSet(("image", 0), ("image", 1), [("image", 2 + k) for k in range(n)])
-        v, *_ = losses.contrastive_loss_setform([cs], o, np.ones((1, 3)))
+        cs = ContrastiveSets(np.array([0]), np.array([1]), np.array([2 + np.arange(n)]))
+        v, *_ = losses.contrastive_loss_setform(cs, o, np.ones((1, 3)))
         ok &= abs(v - math.log(n + 1)) < 1e-10
     details.append("setform=log(N+1)")
 

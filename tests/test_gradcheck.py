@@ -16,6 +16,8 @@ def test_covers_every_loss_component_and_head():
         "loss_s",
         "loss_c_setform_exp",
         "loss_c_nce_log",
+        "loss_c_setform_literal",
+        "loss_c_nce_literal",
         "loss_total",
         "classifier_cross_entropy",
     } <= names

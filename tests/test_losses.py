@@ -1,14 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cobra import losses, model as model_mod
 from cobra.errors import ConfigError, NumericError, PairingError, ShapeError
 from cobra.losses import (
-    ContrastiveSet,
+    ContrastiveSets,
     LossWeights,
     NoiseModel,
     contrastive_loss_setform,
@@ -21,6 +23,7 @@ from cobra.losses import (
     total_loss,
 )
 
+import contrastive_oracle as oracle
 from conftest import tiny_model
 
 
@@ -156,18 +159,39 @@ def test_sampled_sets_are_valid(labels_i, labels_t, n_neg):
     labels_i, labels_t = np.array(labels_i), np.array(labels_t)
     rng = np.random.default_rng(7)
     sets, skipped = sample_contrastive_sets(labels_i, labels_t, n_neg, rng)
-    lab = {"image": labels_i, "text": labels_t}
+    lab = np.concatenate([labels_i, labels_t])
+    modality = np.arange(lab.size) >= labels_i.size
     assert len(sets) + skipped == labels_i.size + labels_t.size
-    for cs in sets:
-        a_mod, a_idx = cs.anchor
-        a_cls = lab[a_mod][a_idx]
-        p_mod, p_idx = cs.positive
-        assert p_mod == a_mod  # positive shares the anchor's modality
-        assert lab[p_mod][p_idx] == a_cls
-        assert (p_mod, p_idx) != cs.anchor
-        assert len(cs.negatives) == n_neg
-        for n_mod, n_idx in cs.negatives:
-            assert lab[n_mod][n_idx] != a_cls
+    # the loop oracle keeps exactly the same anchors
+    loop_sets, loop_skipped = oracle.sample_contrastive_sets(labels_i, labels_t, n_neg, rng)
+    assert skipped == loop_skipped
+    assert [cs.anchor for cs in oracle.as_refs(sets, labels_i.size)] == [
+        cs.anchor for cs in loop_sets
+    ]
+    for a, p, negs in zip(sets.anchor, sets.positive, sets.negatives):
+        assert modality[p] == modality[a]  # positive shares the anchor's modality
+        assert lab[p] == lab[a]
+        assert p != a
+        assert len(negs) == n_neg
+        assert (lab[negs] != lab[a]).all()
+        if np.sum(lab != lab[a]) >= n_neg:  # distinct unless the pool is too small
+            assert np.unique(negs).size == n_neg
+
+
+def test_sampling_draws_uniformly():
+    # image classes [0 0 0 1 1], text [0 1]: anchor 0 has positives {1, 2}
+    # and the negative pool {3, 4, 6}
+    li, lt = np.array([0, 0, 0, 1, 1]), np.array([0, 1])
+    rng = np.random.default_rng(3)
+    pos, neg = np.zeros(7), np.zeros(7)
+    draws = 6000
+    for _ in range(draws):
+        sets, _ = sample_contrastive_sets(li, lt, 2, rng)
+        pos[sets.positive[0]] += 1
+        np.add.at(neg, sets.negatives[0], 1)
+    assert np.allclose(pos[[1, 2]] / draws, 1 / 2, atol=0.03)
+    assert np.allclose(neg[[3, 4, 6]] / draws, 2 / 3, atol=0.03)
+    assert pos.sum() == draws and neg.sum() == 2 * draws
 
 
 def test_sampling_skips_singleton_classes():
@@ -183,21 +207,23 @@ def test_sampling_single_class_batch_all_skipped():
     sets, skipped = sample_contrastive_sets(
         np.array([1, 1]), np.array([1, 1]), 3, np.random.default_rng(0)
     )
-    assert sets == [] and skipped == 4
+    assert len(sets) == 0 and skipped == 4
 
 
 def test_sampling_with_replacement_when_pool_small():
     sets, _ = sample_contrastive_sets(
         np.array([0, 0, 1]), np.array([0, 0, 1]), 10, np.random.default_rng(0)
     )
-    assert all(len(cs.negatives) == 10 for cs in sets)
+    assert sets.negatives.shape == (4, 10)
 
 
 def test_sampling_deterministic_per_seed():
     li, lt = np.array([0, 1, 0, 1]), np.array([1, 0, 1, 0])
-    a = sample_contrastive_sets(li, lt, 3, np.random.default_rng(11))
-    b = sample_contrastive_sets(li, lt, 3, np.random.default_rng(11))
-    assert a == b
+    a, skip_a = sample_contrastive_sets(li, lt, 3, np.random.default_rng(11))
+    b, skip_b = sample_contrastive_sets(li, lt, 3, np.random.default_rng(11))
+    assert skip_a == skip_b
+    for name in ("anchor", "positive", "negatives"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_sampling_rejects_zero_negatives():
@@ -208,16 +234,16 @@ def test_sampling_rejects_zero_negatives():
 # ---------------------------------------------------------------- setform
 
 
+def _one_set(anchor, positive, negatives):
+    """A single set over stacked [image; text] row indices."""
+    return ContrastiveSets(np.array([anchor]), np.array([positive]), np.array([negatives]))
+
+
 def _uniform_sets_case(n_neg):
     """Identical embeddings for every row: all scores equal."""
     o_i = np.ones((n_neg + 2, 3))
     o_t = np.ones((1, 3))
-    cs = ContrastiveSet(
-        anchor=("image", 0),
-        positive=("image", 1),
-        negatives=[("image", 2 + k) for k in range(n_neg)],
-    )
-    return [cs], o_i, o_t
+    return _one_set(0, 1, [2 + k for k in range(n_neg)]), o_i, o_t
 
 
 @pytest.mark.parametrize("n_neg", [1, 5, 10])
@@ -241,18 +267,18 @@ def test_setform_empty_sets_zero():
 
 def test_setform_literal_counts_clamped_scores():
     o_i = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    cs = ContrastiveSet(("image", 0), ("image", 2), [("image", 1)])
+    cs = _one_set(0, 2, [1])
     # positive dot = 0 (clamped), negative dot = -1 (clamped)
-    _, _, _, clamped = contrastive_loss_setform([cs], o_i, np.ones((1, 2)), "literal")
+    _, _, _, clamped = contrastive_loss_setform(cs, o_i, np.ones((1, 2)), "literal")
     assert clamped == 2
 
 
 def test_setform_lower_when_positive_dominates():
     o_i = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-    cs = ContrastiveSet(("image", 0), ("image", 1), [("image", 2)])
-    good, *_ = contrastive_loss_setform([cs], o_i, np.ones((1, 2)))
-    bad_cs = ContrastiveSet(("image", 0), ("image", 2), [("image", 1)])
-    bad, *_ = contrastive_loss_setform([bad_cs], o_i, np.ones((1, 2)))
+    cs = _one_set(0, 1, [2])
+    good, *_ = contrastive_loss_setform(cs, o_i, np.ones((1, 2)))
+    bad_cs = _one_set(0, 2, [1])
+    bad, *_ = contrastive_loss_setform(bad_cs, o_i, np.ones((1, 2)))
     assert good < math.log(2) < bad
 
 
@@ -288,8 +314,8 @@ def test_nce_loss_uniform_embeddings_closed_form():
     n_neg = 3
     o_i = np.ones((n_neg + 2, 4))
     o_t = np.ones((1, 4))
-    cs = ContrastiveSet(("image", 0), ("image", 1), [("image", 2 + k) for k in range(n_neg)])
-    value, g_i, g_t = nce_loss([cs], o_i, o_t, form="log")
+    cs = _one_set(0, 1, [2 + k for k in range(n_neg)])
+    value, g_i, g_t = nce_loss(cs, o_i, o_t, form="log")
     h = 1.0 / (1 + n_neg)
     expected = -math.log(h) - n_neg * math.log(1 - h)
     assert value == pytest.approx(expected, abs=1e-10)
@@ -299,8 +325,8 @@ def test_nce_literal_uniform_embeddings_closed_form():
     n_neg = 3
     o_i = np.ones((n_neg + 2, 4))
     o_t = np.ones((1, 4))
-    cs = ContrastiveSet(("image", 0), ("image", 1), [("image", 2 + k) for k in range(n_neg)])
-    value, *_ = nce_loss([cs], o_i, o_t, form="literal")
+    cs = _one_set(0, 1, [2 + k for k in range(n_neg)])
+    value, *_ = nce_loss(cs, o_i, o_t, form="literal")
     h = 1.0 / (1 + n_neg)
     assert value == pytest.approx(-h - n_neg * (1 - h), abs=1e-10)
 
@@ -313,6 +339,62 @@ def test_nce_empty_sets_zero():
 def test_nce_form_validation():
     with pytest.raises(ConfigError):
         nce_loss([], np.ones((1, 1)), np.ones((1, 1)), form="bogus")
+
+
+# ---------------------------------------------------------------- loop oracle
+
+
+@st.composite
+def _contrastive_batch(draw):
+    """Labels with singleton classes, single-class batches and negative pools
+    smaller than n_negatives, plus float64 embeddings for both modalities."""
+    n_cls = draw(st.integers(1, 4))
+    labels = [
+        draw(hnp.arrays(np.int64, draw(st.integers(1, 7)), elements=st.integers(0, n_cls - 1)))
+        for _ in range(2)
+    ]
+    dim = draw(st.integers(1, 4))
+    emb = [
+        draw(hnp.arrays(np.float64, (lab.size, dim), elements=st.floats(-2.0, 2.0)))
+        for lab in labels
+    ]
+    return labels, emb, draw(st.integers(1, 8)), draw(st.sampled_from([0.5, 1.0, 2.0]))
+
+
+def _assert_matches_oracle(got, want):
+    value, g_i, g_t, *clamped = got
+    o_value, o_g_i, o_g_t, *o_clamped = want
+    assert value == pytest.approx(o_value, rel=1e-12, abs=1e-12)
+    for g, o_g in ((g_i, o_g_i), (g_t, o_g_t)):
+        assert g.shape == o_g.shape
+        np.testing.assert_allclose(g, o_g, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(o_g).max()))
+    assert clamped == o_clamped
+
+
+@given(batch=_contrastive_batch(), seed=st.integers(0, 2**16))
+@settings(max_examples=80, deadline=None)
+def test_vectorised_losses_match_loop_oracle(batch, seed):
+    (labels_i, labels_t), (o_i, o_t), n_neg, tau = batch
+    sets, _ = sample_contrastive_sets(labels_i, labels_t, n_neg, np.random.default_rng(seed))
+    refs = oracle.as_refs(sets, labels_i.size)
+    # two-anchor blocks run the multi-block path on these small batches
+    for block in (losses._ANCHOR_BLOCK, 2):
+        with mock.patch.object(losses, "_ANCHOR_BLOCK", block):
+            again, _ = sample_contrastive_sets(
+                labels_i, labels_t, n_neg, np.random.default_rng(seed)
+            )
+            for name in ("anchor", "positive", "negatives"):
+                assert np.array_equal(getattr(again, name), getattr(sets, name))
+            for form in ("log", "literal"):
+                _assert_matches_oracle(
+                    nce_loss(sets, o_i, o_t, form=form, temperature=tau),
+                    oracle.nce_loss(refs, o_i, o_t, form=form, temperature=tau),
+                )
+            for mode in ("exp", "literal"):
+                _assert_matches_oracle(
+                    contrastive_loss_setform(sets, o_i, o_t, mode, tau),
+                    oracle.contrastive_loss_setform(refs, o_i, o_t, mode, tau),
+                )
 
 
 # ---------------------------------------------------------------- weights / total
@@ -357,16 +439,6 @@ def test_total_loss_gradients_linear_in_weights():
     bd2 = total_loss(cache, y, y, double, np.random.default_rng(5), n_negatives=2)
     assert np.allclose(bd2.d_xhat_image, 2 * bd1.d_xhat_image, atol=1e-10)
     assert np.allclose(bd2.d_xhat_text, 2 * bd1.d_xhat_text, atol=1e-10)
-
-
-def test_total_loss_unpaired_rejected_with_cross_modal():
-    model = tiny_model()
-    cache = _forward(model)
-    y = np.array([0, 1, 2, 0])
-    with pytest.raises(ConfigError):
-        total_loss(
-            cache, y, y, LossWeights(), np.random.default_rng(0), paired=False
-        )
 
 
 def test_total_loss_grad_matches_finite_diff_float64():

@@ -104,9 +104,26 @@ def test_epoch_record_format():
     result = _train(paired, small_config(epochs=1))
     rec = result.reports[0].record()
     fields = dict(kv.split("=") for kv in rec.split())
-    assert set(fields) == {"epoch", "l_r", "l_m", "l_s", "l_c", "total", "skipped", "secs"}
+    assert set(fields) == {
+        "epoch", "l_r", "l_m", "l_s", "l_c", "total", "skipped", "secs", "val_total", "clamped"
+    }
     assert fields["epoch"] == "1"
     float(fields["total"])  # parses
+
+
+def test_train_warns_once_when_batch_clipped(capsys):
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    _train(paired, small_config(epochs=2, batch=50, iters_per_epoch=3))
+    assert capsys.readouterr().err.count("clipping") == 1
+
+
+def test_validation_loss_scores_the_same_sets_every_call():
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    cfg = small_config()
+    m = model_mod.init_model(6, 5, 3, seed=0)
+    streams = RngStreams(cfg.seed)
+    first = training.validation_loss(m, paired, cfg, streams)
+    assert training.validation_loss(m, paired, cfg, streams) == first
 
 
 def test_training_reduces_reconstruction_loss():
