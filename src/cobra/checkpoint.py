@@ -34,7 +34,7 @@ def write_tensors(path, tensors: dict[str, np.ndarray]):
         buf += raw
         buf += struct.pack("<II", arr.shape[0], arr.shape[1])
         buf += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    Path(path).write_bytes(buf)
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:

@@ -63,7 +63,13 @@ def read_config_file(path) -> dict:
         key = key.strip()
         if key not in TRAIN_KEYS:
             raise CobraError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = TRAIN_KEYS[key](value.strip())
+        try:
+            out[key] = TRAIN_KEYS[key](value.strip())
+        except ValueError:
+            raise CobraError(
+                f"{path}:{lineno}: {key} expects {TRAIN_KEYS[key].__name__}, "
+                f"got {value.strip()!r}"
+            ) from None
     return out
 
 
@@ -141,8 +147,15 @@ def cmd_synth(args) -> int:
         data.write_manifest(out / f"{name}.manifest", img, txt, name)
 
     if args.split:
-        fractions = [float(f) for f in args.split.split(",")]
-        names = ("train", "val", "test")[: len(fractions)]
+        names = ("train", "val", "test")
+        try:
+            fractions = [float(f) for f in args.split.split(",")]
+        except ValueError:
+            raise CobraError(f"--split expects numbers, got {args.split!r}") from None
+        if len(fractions) > len(names):
+            raise CobraError(
+                f"--split takes at most {len(names)} fractions, got {len(fractions)}"
+            )
         for name, ds in zip(names, data.split(paired, fractions, args.seed)):
             emit(name, ds)
     else:
@@ -268,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--checkpoint", required=True)
     rp.add_argument("--map-at", type=int, default=None, dest="map_at")
     rp.add_argument(
-        "--zero-relevant", choices=["exclude", "zero"], default="exclude"
+        "--zero-relevant", choices=evaluation.ZERO_RELEVANT, default="exclude"
     )
     rp.set_defaults(func=cmd_eval_retrieval)
 

@@ -7,6 +7,7 @@ genuine pair.
 
 from __future__ import annotations
 
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field
@@ -76,6 +77,7 @@ class TrainState:
     epoch: int = 0
     best_val: float = np.inf
     best_path: str | None = None
+    best_epoch: int | None = None
 
 
 @dataclass
@@ -242,6 +244,7 @@ def train(
             state.best_val = val_total
             state.best_path = str(out_dir / "best.ckpt")
             save_checkpoint(state.model, state.best_path)
+            state.best_epoch = epoch
         if (
             out_dir is not None
             and config.checkpoint_every
@@ -250,9 +253,14 @@ def train(
             save_checkpoint(state.model, out_dir / f"epoch{epoch:04d}.ckpt")
 
     if out_dir is not None:
-        save_checkpoint(state.model, out_dir / "final.ckpt")
+        final = out_dir / "final.ckpt"
+        if state.best_epoch == state.epoch:
+            # the last epoch wrote best.ckpt: same parameters, same bytes
+            shutil.copyfile(state.best_path, final)
+        else:
+            save_checkpoint(state.model, final)
         if state.best_path is None:
-            state.best_path = str(out_dir / "final.ckpt")
+            state.best_path = str(final)
     return TrainResult(model=state.model, reports=reports, best_path=state.best_path)
 
 

@@ -1,0 +1,50 @@
+"""Per-query retrieval loop: the reference implementation of
+``evaluation.mean_average_precision``.
+
+Production ranks queries in blocks with a fast argsort and re-sorts only rows
+with equal scores stably. This module keeps the original loop, one stable
+argsort and one AP per query, with its own copies of the ranking and AP
+conventions, so a fault in the production versions cannot hide here too.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cobra import evaluation
+
+
+def rank_gallery(sims: np.ndarray) -> np.ndarray:
+    """Indices by descending similarity, ties broken by ascending index."""
+    return np.argsort(-sims, kind="stable")
+
+
+def average_precision(relevance) -> float:
+    """Mean of precision-at-k over the relevant positions of a ranked list."""
+    rel = np.asarray(relevance, dtype=np.float64)
+    cum = np.cumsum(rel)
+    precision_at = cum / np.arange(1, rel.size + 1)
+    return float(np.sum(precision_at * rel) / rel.sum())
+
+
+def map_from_embeddings(
+    q_emb, g_emb, q_labels, g_labels, zero_relevant="exclude", map_at=None
+):
+    """(ap_per_query, n_excluded, map_value) of one retrieval direction."""
+    sims = evaluation.similarity_matrix(q_emb, g_emb)
+    aps: list[float] = []
+    excluded = 0
+    for qi in range(q_emb.shape[0]):
+        order = rank_gallery(sims[qi])
+        rel = (g_labels[order] == q_labels[qi]).astype(np.float64)
+        if map_at is not None:
+            rel = rel[:map_at]
+        if rel.sum() == 0:
+            if zero_relevant == "zero":
+                aps.append(0.0)
+            else:
+                excluded += 1
+            continue
+        aps.append(average_precision(rel))
+    map_value = float(np.mean(aps)) if aps else 0.0
+    return aps, excluded, map_value

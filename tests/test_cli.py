@@ -133,6 +133,40 @@ def test_train_rejects_unknown_config_key(dataset, tmp_path, capsys):
     assert "bogus_key" in err
 
 
+def test_train_rejects_bad_config_value(dataset, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("eta=0.01\nepochs=abc\n")
+    code, _, err = run_cli(
+        capsys,
+        "train",
+        "--manifest", str(dataset / "train.manifest"),
+        "--out", str(tmp_path / "r"),
+        "--config", str(cfg),
+    )
+    assert code == 2
+    assert f"{cfg}:2:" in err
+    assert "epochs" in err
+
+
+def test_synth_split_not_a_number_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "synth", "--classes", "3", "--out", str(tmp_path / "d"),
+        "--split", "0.5,abc",
+    )
+    assert code == 2
+    assert "0.5,abc" in err
+
+
+def test_synth_split_more_than_three_fractions_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "synth", "--classes", "3", "--out", str(tmp_path / "d"),
+        "--split", "0.25,0.25,0.25,0.25",
+    )
+    assert code == 2
+    assert "at most 3" in err
+    assert not (tmp_path / "d" / "train.manifest").exists()
+
+
 def test_train_missing_manifest_exit_2(tmp_path, capsys):
     # a missing manifest surfaces as OSError -> exit 3
     code, *_ = run_cli(
@@ -158,6 +192,17 @@ def test_eval_retrieval_records(run_dir, dataset, capsys):
     tti = float(lines[1].split()[1].split("=")[1])
     avg = float(lines[2].split("=")[1])
     assert avg == pytest.approx((itt + tti) / 2, abs=1e-4)
+
+
+@pytest.mark.parametrize("map_at", ["0", "-3"])
+def test_eval_retrieval_invalid_map_at_exit_2(run_dir, dataset, capsys, map_at):
+    code, out, err = run_cli(
+        capsys, "eval-retrieval", "--manifest", str(dataset / "test.manifest"),
+        "--checkpoint", str(run_dir / "final.ckpt"), "--map-at", map_at,
+    )
+    assert code == 2
+    assert out == ""
+    assert "map_at" in err
 
 
 def test_eval_retrieval_corrupt_checkpoint_exit_2(dataset, tmp_path, capsys):

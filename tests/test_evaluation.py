@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cobra import data, evaluation, model as model_mod
 from cobra.errors import ConfigError
 
+import retrieval_oracle
 from conftest import tiny_model, tiny_paired
 
 
@@ -59,6 +60,29 @@ def test_average_precision_rejects_no_relevant():
         evaluation.average_precision([0, 0, 0])
 
 
+def test_rank_gallery_block_matches_stable_sort_per_row():
+    rng = np.random.default_rng(5)
+    sims = np.round(rng.normal(size=(40, 300)), 1)  # many equal scores
+    sims[0, :6] = [0.0, -0.0, 0.0, -0.0, 0.5, -0.0]
+    sims[1, ::7] = np.nan
+    sims[2] = 0.25  # every score equal
+    want = np.stack([retrieval_oracle.rank_gallery(row) for row in sims])
+    assert np.array_equal(evaluation.rank_gallery(sims), want)
+    assert np.array_equal(evaluation.rank_gallery(sims[3]), want[3])
+
+
+def test_average_precision_block_matches_per_row():
+    rng = np.random.default_rng(6)
+    rel = rng.random((30, 500)) < 0.1
+    rel[:, 0] = True
+    got = evaluation.average_precision(rel)
+    want = [retrieval_oracle.average_precision(row) for row in rel]
+    assert got.tolist() == want
+    rel[7] = False
+    with pytest.raises(ConfigError):
+        evaluation.average_precision(rel)
+
+
 # ---------------------------------------------------------------- oracles
 
 
@@ -84,14 +108,9 @@ def brute_force_map(q_emb, g_emb, q_labels, g_labels):
     return (sum(aps) / len(aps) if aps else 0.0), excluded
 
 
-class _IdentityEmbed:
-    """Stands in for embed_dataset so retrieval math can be tested directly."""
-
-
-def _fragment_from_raw(q_emb, g_emb, q_labels, g_labels, **kw):
-    num_classes = int(max(q_labels.max(), g_labels.max())) + 1
-    d = q_emb.shape[1]
-    # identity-like model: joint_dim == feature dim, projection = identity
+def _identity_model(d):
+    """Stands in for a trained model so retrieval math can be tested directly:
+    joint_dim == feature dim and every layer passes its input through."""
     m = model_mod.init_model(d, d, d, seed=0, dtype=np.float64, hidden_dim=d, latent_dim=d)
     for pipe in (m.image, m.text):
         for layers in (pipe.encoder, pipe.decoder):
@@ -103,8 +122,19 @@ def _fragment_from_raw(q_emb, g_emb, q_labels, g_labels, **kw):
         pipe.encoder[2][1].value[...] = -100.0
         pipe.projection[0][0].value = np.eye(d)
         pipe.projection[0][1].value[...] = 0.0
+    return m
+
+
+def _raw_datasets(q_emb, g_emb, q_labels, g_labels):
+    num_classes = int(max(q_labels.max(), g_labels.max())) + 1
     qs = data.FeatureDataset("image", q_emb.astype(np.float32), q_labels, num_classes)
     gs = data.FeatureDataset("text", g_emb.astype(np.float32), g_labels, num_classes)
+    return qs, gs
+
+
+def _fragment_from_raw(q_emb, g_emb, q_labels, g_labels, **kw):
+    m = _identity_model(q_emb.shape[1])
+    qs, gs = _raw_datasets(q_emb, g_emb, q_labels, g_labels)
     return evaluation.mean_average_precision(m, qs, gs, "ITT", **kw)
 
 
@@ -188,6 +218,80 @@ def test_map_at_truncates_ranked_list():
     trunc = _fragment_from_raw(q, g, ql, gl, map_at=2)
     assert 0.0 <= trunc.map_value <= 1.0
     assert full.n_queries == 2
+
+
+@pytest.mark.parametrize("kw", [{"map_at": 0}, {"map_at": -3}, {"zero_relevant": "skip"}])
+def test_retrieval_rejects_invalid_options(kw):
+    paired = tiny_paired(classes=3, per_class=4)
+    m = tiny_model()
+    with pytest.raises(ConfigError):
+        evaluation.retrieval_report(m, paired, **kw)
+    with pytest.raises(ConfigError):
+        evaluation.mean_average_precision(m, paired.image, paired.text, "ITT", **kw)
+
+
+def _tied_rows(rng, n, d):
+    """Rows with zero-norm and duplicated rows, and often integer entries so
+    that many scores are exactly equal."""
+    x = rng.normal(size=(n, d))
+    if rng.random() < 0.5:
+        x = np.round(x)
+    x[rng.random(n) < 0.15] = 0.0
+    dup = rng.integers(0, n, size=n // 3)
+    x[dup] = x[rng.integers(0, n, size=dup.size)]
+    return x
+
+
+@given(
+    seed=st.integers(0, 100_000),
+    zero_relevant=st.sampled_from(evaluation.ZERO_RELEVANT),
+    map_at=st.sampled_from([None, 1, 5, 10_000]),
+)
+@settings(max_examples=40, deadline=None)
+def test_retrieval_matches_loop_oracle(seed, zero_relevant, map_at):
+    """mean_average_precision and retrieval_report equal the per-query loop
+    exactly, across more than one block of queries."""
+    rng = np.random.default_rng(seed)
+    nq = int(rng.choice([3, 40, 2 * evaluation._QUERY_BLOCK + 7]))
+    ng = int(rng.integers(1, 120))
+    d, c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    q, g = _tied_rows(rng, nq, d), _tied_rows(rng, ng, d)
+    ql, gl = rng.integers(0, c, nq), rng.integers(0, c, ng)
+    m = _identity_model(d)
+    kw = dict(zero_relevant=zero_relevant, map_at=map_at)
+
+    def check(frag, q_ds, g_ds):
+        aps, excluded, map_value = retrieval_oracle.map_from_embeddings(
+            evaluation.embed_dataset(m, q_ds), evaluation.embed_dataset(m, g_ds),
+            q_ds.labels, g_ds.labels, **kw,
+        )
+        assert frag.ap_per_query == aps
+        assert frag.n_excluded == excluded
+        assert frag.n_queries == len(aps)
+        assert frag.map_value == map_value
+
+    qs, gs = _raw_datasets(q, g, ql, gl)
+    check(evaluation.mean_average_precision(m, qs, gs, "ITT", **kw), qs, gs)
+
+    image, text = _raw_datasets(q, _tied_rows(rng, nq, d), ql, ql)
+    paired = data.PairedDataset(image=image, text=text)
+    report = evaluation.retrieval_report(m, paired, **kw)
+    check(report.fragments["ITT"], image, text)
+    check(report.fragments["TTI"], text, image)
+    assert report.map_avg == (report.map_itt + report.map_tti) / 2.0
+
+
+def test_retrieval_report_embeds_each_modality_once(monkeypatch):
+    calls = []
+    embed = evaluation.embed_dataset
+
+    def counting(model, ds):
+        calls.append(ds.modality)
+        return embed(model, ds)
+
+    monkeypatch.setattr(evaluation, "embed_dataset", counting)
+    evaluation.retrieval_report(tiny_model(), tiny_paired(classes=3, per_class=4))
+    assert sorted(calls) == ["image", "text"]
 
 
 def test_retrieval_report_record_format():

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cobra import data, model as model_mod, training
+from cobra import checkpoint, data, model as model_mod, training
 from cobra.errors import ConfigError
 from cobra.losses import LossWeights
 from cobra.nn import RngStreams
@@ -182,6 +184,38 @@ def test_train_writes_checkpoints(tmp_path):
     assert (tmp_path / "final.ckpt").exists()
     assert (tmp_path / "best.ckpt").exists()
     assert result.best_path is not None
+
+
+def test_final_checkpoint_copies_best_when_last_epoch_is_best(tmp_path, monkeypatch):
+    saved = []
+    save = training.save_checkpoint
+
+    def counting(model, path):
+        saved.append(Path(path).name)
+        save(model, path)
+
+    monkeypatch.setattr(training, "save_checkpoint", counting)
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    result = _train(paired, small_config(epochs=2), out_dir=tmp_path)
+    val = [r.val_total for r in result.reports]
+    assert val[1] < val[0]  # the last epoch writes best.ckpt
+    assert saved == ["best.ckpt", "best.ckpt"]
+    assert (tmp_path / "final.ckpt").read_bytes() == (tmp_path / "best.ckpt").read_bytes()
+    reloaded = checkpoint.load_checkpoint(tmp_path / "final.ckpt")
+    trained = {q.name: q.value for q in result.model.params()}
+    assert all(np.array_equal(trained[q.name], q.value) for q in reloaded.params())
+
+
+def test_final_checkpoint_saved_when_an_earlier_epoch_is_best(tmp_path, monkeypatch):
+    # an earlier epoch stays best when later validation losses are higher
+    losses = iter([1.0, 2.0])
+    monkeypatch.setattr(training, "validation_loss", lambda *a: next(losses))
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    result = _train(paired, small_config(epochs=2), out_dir=tmp_path)
+    assert (tmp_path / "final.ckpt").read_bytes() != (tmp_path / "best.ckpt").read_bytes()
+    reloaded = checkpoint.load_checkpoint(tmp_path / "final.ckpt")
+    trained = {q.name: q.value for q in result.model.params()}
+    assert all(np.array_equal(trained[q.name], q.value) for q in reloaded.params())
 
 
 def test_train_periodic_checkpoints(tmp_path):
