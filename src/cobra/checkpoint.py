@@ -1,10 +1,13 @@
 """Binary checkpoint format.
 
-Little-endian layout: magic ``COBRAMDL`` (8 bytes), format version u32 (=1),
-tensor count u32; per tensor: name length u16, name bytes (utf-8), rows u32,
-cols u32, rows*cols float64 values row-major. Trailing bytes after the last
-tensor are a format error. Values are stored as float64 regardless of the
-model's compute precision so round-trips are exact.
+Little-endian layout, version 2: magic ``COBRAMDL`` (8 bytes), format version
+u32 (=2), tensor count u32, value width u32 (4 or 8); per tensor: name length
+u16, name bytes (utf-8), rows u32, cols u32, rows*cols values row-major, each
+a float of the value width. The width is 4 when every tensor is float32 and
+8 otherwise, so a model reloads in the precision it was saved in, bit for
+bit. Version 1 files have no width field and store float64 values; they
+still load, as float64. Trailing bytes after the last tensor are a format
+error.
 """
 
 from __future__ import annotations
@@ -15,34 +18,35 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .model import ClassifierHead, CobraModel, ModalityPipeline, init_head, init_model
+from .model import ClassifierHead, CobraModel, Layer, ModalityPipeline
+from .nn import Param
 
 MAGIC = b"COBRAMDL"
-VERSION = 1
+VERSION = 2
+WIDTHS = (4, 8)  # bytes per value: float32, float64
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray]):
     """Writes an ordered name->matrix mapping in the checkpoint format."""
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<II", VERSION, len(tensors))
     for name, arr in tensors.items():
         if arr.ndim != 2:
             raise CheckpointError(f"tensor {name!r} is not 2-D")
-        raw = name.encode("utf-8")
-        buf += struct.pack("<H", len(raw))
-        buf += raw
-        buf += struct.pack("<II", arr.shape[0], arr.shape[1])
-        buf += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    Path(path).write_bytes(buf)
+    width = 4 if all(arr.dtype == np.float32 for arr in tensors.values()) else 8
+    with Path(path).open("wb") as fh:
+        fh.write(MAGIC + struct.pack("<III", VERSION, len(tensors), width))
+        for name, arr in tensors.items():
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw)) + raw + struct.pack("<II", *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype=f"<f{width}").data)
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
-    """Parses a checkpoint; raises CheckpointError with the byte offset."""
-    data = Path(path).read_bytes()
+    """Parses a checkpoint of either version; raises CheckpointError with the
+    byte offset. Values come back as float32 or float64, per the width."""
+    data = memoryview(Path(path).read_bytes())
     off = 0
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> memoryview:
         nonlocal off
         if off + n > len(data):
             raise CheckpointError(
@@ -55,19 +59,31 @@ def read_tensors(path) -> dict[str, np.ndarray]:
     if take(8, "magic") != MAGIC:
         raise CheckpointError("bad magic bytes at offset 0")
     version, count = struct.unpack("<II", take(8, "header"))
-    if version != VERSION:
+    if version == 1:
+        width = 8
+    elif version == 2:
+        (width,) = struct.unpack("<I", take(4, "value width"))
+        if width not in WIDTHS:
+            raise CheckpointError(f"value width {width} is not 4 or 8 at offset 16")
+    else:
         raise CheckpointError(f"unsupported checkpoint version {version} at offset 8")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name_at = off
+        try:
+            name = str(take(name_len, "name"), "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"tensor name is not utf-8 at offset {name_at}"
+            ) from None
         rows, cols = struct.unpack("<II", take(8, "shape"))
         values = np.frombuffer(
-            take(rows * cols * 8, f"values of {name!r}"), dtype="<f8"
-        ).reshape(rows, cols)
+            take(rows * cols * width, f"values of {name!r}"), dtype=f"<f{width}"
+        )
         if name in tensors:
             raise CheckpointError(f"duplicate tensor name {name!r} at offset {off}")
-        tensors[name] = values.copy()
+        tensors[name] = values.astype(f"f{width}").reshape(rows, cols)
     if off != len(data):
         raise CheckpointError(
             f"trailing bytes after last tensor at offset {off} ({len(data) - off} extra)"
@@ -76,90 +92,85 @@ def read_tensors(path) -> dict[str, np.ndarray]:
 
 
 def _pipeline_tensors(p: ModalityPipeline) -> dict[str, np.ndarray]:
-    out = {}
-    for w, b in p.encoder + p.decoder + p.projection:
-        out[w.name] = w.value
-        out[b.name] = b.value
-    return out
+    return {q.name: q.value for q in p.params()}
 
 
 def save_checkpoint(model: CobraModel, path):
     tensors = _pipeline_tensors(model.image)
     tensors.update(_pipeline_tensors(model.text))
-    # shared-projection models alias the image head; store it under both names
-    if "text.proj0.w" not in tensors:
-        tensors["text.proj0.w"] = tensors["image.proj0.w"]
-        tensors["text.proj0.b"] = tensors["image.proj0.b"]
     write_tensors(path, tensors)
 
 
+def _shape(tensors: dict[str, np.ndarray], name: str) -> tuple[int, int]:
+    if name not in tensors:
+        raise CheckpointError(f"missing tensor {name!r}")
+    shape = tensors[name].shape
+    if 0 in shape:
+        raise CheckpointError(f"tensor {name!r} is empty, shape {shape}")
+    return shape
+
+
+def _take_layers(tensors: dict[str, np.ndarray], prefix: str, dims) -> list[Layer]:
+    """Pops the weight and bias of each layer of `dims` from `tensors` as
+    Params; a missing, empty or misshapen tensor is a CheckpointError."""
+    layers = []
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        pair = []
+        for name, shape in (
+            (f"{prefix}{i}.w", (fan_in, fan_out)),
+            (f"{prefix}{i}.b", (1, fan_out)),
+        ):
+            if _shape(tensors, name) != shape:
+                raise CheckpointError(
+                    f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
+                )
+            pair.append(Param(name, tensors.pop(name)))
+        layers.append(tuple(pair))
+    return layers
+
+
+def _reject_leftovers(tensors: dict[str, np.ndarray]):
+    if tensors:
+        raise CheckpointError(f"unexpected tensors: {sorted(tensors)}")
+
+
 def load_checkpoint(path) -> CobraModel:
-    """Rebuilds a model from its tensors; shapes define d_I, d_T and C."""
+    """Rebuilds a model from its tensors in their stored precision; shapes
+    define d_I, d_T, C and the hidden and latent widths."""
     tensors = read_tensors(path)
+    hidden_dim = _shape(tensors, "image.enc0.w")[1]
+    latent_dim = _shape(tensors, "image.enc2.w")[1]
+    num_classes = _shape(tensors, "image.proj0.w")[1]
 
-    def need(name: str) -> np.ndarray:
-        if name not in tensors:
-            raise CheckpointError(f"missing tensor {name!r}")
-        return tensors[name]
+    def pipeline(modality: str) -> ModalityPipeline:
+        d = _shape(tensors, f"{modality}.enc0.w")[0]
+        h, z = hidden_dim, latent_dim
+        return ModalityPipeline(
+            modality,
+            d,
+            _take_layers(tensors, f"{modality}.enc", [d, h, h, z]),
+            _take_layers(tensors, f"{modality}.dec", [z, h, h, d]),
+            _take_layers(tensors, f"{modality}.proj", [z, num_classes]),
+        )
 
-    d_image = need("image.enc0.w").shape[0]
-    d_text = need("text.enc0.w").shape[0]
-    num_classes = need("image.proj0.w").shape[1]
-    hidden_dim = need("image.enc0.w").shape[1]
-    latent_dim = need("image.enc2.w").shape[1]
-    model = init_model(
-        d_image,
-        d_text,
-        num_classes,
-        seed=0,
-        dtype=np.float64,
-        hidden_dim=hidden_dim,
-        latent_dim=latent_dim,
-    )
-    expected = set(_pipeline_tensors(model.image)) | set(_pipeline_tensors(model.text))
-    extra = set(tensors) - expected
-    if extra:
-        raise CheckpointError(f"unexpected tensors: {sorted(extra)}")
-    for param in model.params():
-        value = need(param.name)
-        if value.shape != param.value.shape:
-            raise CheckpointError(
-                f"tensor {param.name!r} has shape {value.shape}, "
-                f"expected {param.value.shape}"
-            )
-        param.value = value
-        param.grad = np.zeros_like(value)
+    model = CobraModel(pipeline("image"), pipeline("text"), num_classes, num_classes)
+    _reject_leftovers(tensors)
     return model
 
 
 def save_head(head: ClassifierHead, path):
-    tensors = {}
-    for w, b in head.layers:
-        tensors[w.name] = w.value
-        tensors[b.name] = b.value
-    write_tensors(path, tensors)
+    write_tensors(path, {q.name: q.value for q in head.params()})
 
 
 def load_head(path) -> ClassifierHead:
+    """Rebuilds a fusion head from its tensors in their stored precision."""
     tensors = read_tensors(path)
     if "head.fc0.w" not in tensors or "head.fc3.w" not in tensors:
         raise CheckpointError("not a classifier-head checkpoint")
-    joint_dim = tensors["head.fc0.w"].shape[0] // 2
-    num_classes = tensors["head.fc3.w"].shape[1]
-    hidden = tuple(tensors[f"head.fc{i}.w"].shape[1] for i in range(3))
-    head = init_head(joint_dim, num_classes, seed=0, dtype=np.float64, hidden=hidden)
-    expected = {p.name for p in head.params()}
-    if set(tensors) != expected:
-        raise CheckpointError(
-            f"head tensor names {sorted(tensors)} != expected {sorted(expected)}"
-        )
-    for param in head.params():
-        value = tensors[param.name]
-        if value.shape != param.value.shape:
-            raise CheckpointError(
-                f"tensor {param.name!r} has shape {value.shape}, "
-                f"expected {param.value.shape}"
-            )
-        param.value = value
-        param.grad = np.zeros_like(value)
+    dims = [_shape(tensors, "head.fc0.w")[0]]
+    if dims[0] % 2:
+        raise CheckpointError(f"head input width {dims[0]} is not two joint widths")
+    dims += [_shape(tensors, f"head.fc{i}.w")[1] for i in range(4)]
+    head = ClassifierHead(layers=_take_layers(tensors, "head.fc", dims))
+    _reject_leftovers(tensors)
     return head

@@ -12,6 +12,7 @@ resolved relative to the manifest's directory.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,6 +124,14 @@ def load_feature_file(path) -> FeatureDataset:
             raise FormatError(f"{path}:1: non-integer counts in header") from None
         if modality not in MODALITIES or n < 1 or d < 1 or c < 1:
             raise FormatError(f"{path}:1: invalid header fields")
+        # a row is at least a one-character label and d one-character values,
+        # comma-separated, and a newline (optional after the last row)
+        rest = os.fstat(fh.fileno()).st_size - len(header.encode("utf-8"))
+        if n * (2 * d + 2) - 1 > rest:
+            raise FormatError(
+                f"{path}:1: header claims {n} rows of {d} values, but the file "
+                f"ended {rest} bytes after the header"
+            )
 
         features = np.empty((n, d), dtype=np.float32)
         labels = np.empty(n, dtype=np.int64)

@@ -8,8 +8,8 @@ relevant gallery item have undefined AP and are excluded from the mean (and
 counted), unless ``zero_relevant="zero"`` scores them as 0.
 
 Queries are ranked in blocks of ``_QUERY_BLOCK`` rows: one fast argsort per
-block, then a stable re-sort of only the rows with equal scores, which gives
-the tie-by-index order bit for bit. ``rank_gallery`` and ``average_precision``
+block, then one integer key sort of only the rows with equal scores, which
+gives the tie-by-index order bit for bit. ``rank_gallery`` and ``average_precision``
 hold the two conventions and take such a block along the last axis.
 ``retrieval_report`` embeds each modality once for both directions.
 """
@@ -84,16 +84,29 @@ def rank_gallery(sims: np.ndarray) -> np.ndarray:
 
     A row without equal scores has one sorted order, so the fast default sort
     finds it; only rows whose sorted scores are not strictly decreasing (equal
-    scores, -0.0 and 0.0, NaN) are sorted again with the stable sort.
+    scores, -0.0 and 0.0, NaN) are repaired by ``_order_ties``.
     """
-    sims = np.asarray(sims)
-    neg = -sims
+    neg = -np.asarray(sims)
     order = np.argsort(neg, axis=-1)
     neg.sort(axis=-1)
     tied = ~np.all(neg[..., 1:] > neg[..., :-1], axis=-1)
     if np.any(tied):
-        order[tied] = np.argsort(-sims[tied], axis=-1, kind="stable")
+        order[tied] = _order_ties(neg[tied], order[tied])
     return order
+
+
+def _order_ties(sorted_neg: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Puts each run of equal scores in ascending index order: one int64 sort
+    of ``run id << 32 | index``, where the run id counts the score changes
+    along the sorted row. -0.0 equals 0.0, and the NaNs, which sort last, are
+    one run, as in a stable sort."""
+    before, after = sorted_neg[..., :-1], sorted_neg[..., 1:]
+    run = np.zeros(order.shape, dtype=np.int64)
+    np.cumsum((after != before) & (before == before), axis=-1, out=run[..., 1:])
+    run <<= 32
+    run |= order
+    run.sort(axis=-1)
+    return run & 0xFFFFFFFF
 
 
 def average_precision(relevance) -> float | np.ndarray:
@@ -112,7 +125,7 @@ def average_precision(relevance) -> float | np.ndarray:
 
 def embed_dataset(model: CobraModel, ds: FeatureDataset) -> np.ndarray:
     pipeline = model.pipeline(ds.modality)
-    x = ds.features.astype(model.dtype)
+    x = ds.features.astype(model.dtype, copy=False)
     return model_mod.project(pipeline, model_mod.encode(pipeline, x))
 
 

@@ -3,7 +3,7 @@ plus the bi-modal fusion classifier head.
 
 Encoder:    FC(d, 1024) ReLU -> FC(1024, 1024) ReLU -> FC(1024, 512) identity
 Decoder:    FC(512, 1024) ReLU -> FC(1024, 1024) ReLU -> FC(1024, d) identity
-Projection: FC(512, Z) identity, one head per modality (optionally shared)
+Projection: FC(512, Z) identity, one head per modality
 Classifier: Concat -> FC(2Z, 512) ReLU Drop(.5) -> FC(512, 128) ReLU Drop(.5)
             -> FC(128, 64) ReLU Drop(.2) -> FC(64, C_task)
 
@@ -66,10 +66,7 @@ class CobraModel:
         raise ParameterError(f"unknown modality {modality!r}")
 
     def params(self) -> list[Param]:
-        seen: dict[int, Param] = {}
-        for p in self.image.params() + self.text.params():
-            seen.setdefault(id(p), p)  # shared-projection models alias params
-        return list(seen.values())
+        return self.image.params() + self.text.params()
 
     @property
     def dtype(self):
@@ -309,7 +306,6 @@ def init_model(
     num_classes: int,
     seed: int,
     dtype=np.float32,
-    shared_projection: bool = False,
     hidden_dim: int = HIDDEN_DIM,
     latent_dim: int = LATENT_DIM,
 ) -> CobraModel:
@@ -329,11 +325,12 @@ def init_model(
         proj = _init_layers(f"{modality}.proj", [latent_dim, num_classes], rng, dtype)
         return ModalityPipeline(modality, d, enc, dec, proj)
 
-    image = build("image", d_image)
-    text = build("text", d_text)
-    if shared_projection:
-        text.projection = image.projection
-    return CobraModel(image=image, text=text, joint_dim=num_classes, num_classes=num_classes)
+    return CobraModel(
+        image=build("image", d_image),
+        text=build("text", d_text),
+        joint_dim=num_classes,
+        num_classes=num_classes,
+    )
 
 
 def init_head(

@@ -56,25 +56,12 @@ class RngStreams:
     def get(self, purpose: str) -> np.random.Generator:
         return self._gens[purpose]
 
-    def derive(self, purpose_index: int, step: int) -> np.random.Generator:
-        """A fresh generator keyed off (seed, purpose, step); stateless helper
-        for reproducible per-epoch draws (e.g. validation-loss sampling)."""
+    def derive(self, purpose_index: int) -> np.random.Generator:
+        """A fresh generator keyed off (seed, purpose); every call restarts the
+        same draws (e.g. the validation loss's contrastive sets)."""
         return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(purpose_index, step))
+            np.random.SeedSequence(entropy=self.seed, spawn_key=(purpose_index, 0))
         )
-
-
-def _check_2d(name: str, a: np.ndarray):
-    if a.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {a.shape}")
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_2d("a", a)
-    _check_2d("b", b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} x {b.shape} do not conform")
-    return a @ b
 
 
 def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses, model as model_mod
+from . import evaluation, losses, model as model_mod
 from .checkpoint import save_checkpoint
 from .data import PairedDataset
 from .errors import ConfigError, NumericError
@@ -85,6 +85,7 @@ class TrainResult:
     model: CobraModel
     reports: list[EpochReport]
     best_path: str | None
+    best_epoch: int | None  # the epoch with the lowest val_total
 
 
 def _clip_batch(b: int, n_pairs: int) -> int:
@@ -170,7 +171,7 @@ def validation_loss(
         paired.text.features.astype(dtype),
         mode="eval",
     )
-    val_rng = streams.derive(4, 0)
+    val_rng = streams.derive(4)
     return _compute_losses(cache, paired.image.labels, paired.text.labels, cfg, val_rng).total
 
 
@@ -183,7 +184,8 @@ def train(
     echo=True,
 ) -> TrainResult:
     """Runs the full training loop; writes best.ckpt / final.ckpt when
-    out_dir is given and emits one epoch record per epoch."""
+    out_dir is given, emits one epoch record per epoch and then one record
+    naming the epoch with the lowest validation loss."""
     if train_pair.num_classes != val_pair.num_classes:
         raise ConfigError("train and validation class counts differ")
     if (
@@ -233,18 +235,14 @@ def train(
             seconds=time.perf_counter() - t0,
         )
         reports.append(report)
-        line = report.record()
-        if echo:
-            print(line)
-        if log_stream is not None:
-            log_stream.write(line + "\n")
-            log_stream.flush()
+        _emit(report.record(), echo, log_stream)
 
-        if val_total < state.best_val and out_dir is not None:
+        if val_total < state.best_val:
             state.best_val = val_total
-            state.best_path = str(out_dir / "best.ckpt")
-            save_checkpoint(state.model, state.best_path)
             state.best_epoch = epoch
+            if out_dir is not None:
+                state.best_path = str(out_dir / "best.ckpt")
+                save_checkpoint(state.model, state.best_path)
         if (
             out_dir is not None
             and config.checkpoint_every
@@ -261,7 +259,21 @@ def train(
             save_checkpoint(state.model, final)
         if state.best_path is None:
             state.best_path = str(final)
-    return TrainResult(model=state.model, reports=reports, best_path=state.best_path)
+    _emit(
+        f"best_epoch={state.best_epoch} best_val_total={state.best_val:.6g}",
+        echo,
+        log_stream,
+    )
+    return TrainResult(state.model, reports, state.best_path, state.best_epoch)
+
+
+def _emit(line: str, echo: bool, log_stream):
+    """One record to stdout (when echo) and to the run log."""
+    if echo:
+        print(line)
+    if log_stream is not None:
+        log_stream.write(line + "\n")
+        log_stream.flush()
 
 
 @dataclass
@@ -301,13 +313,8 @@ def train_classifier(
     num_task_classes = int(labels.max()) + 1
 
     dtype = frozen_model.dtype
-    cache = model_mod.forward_full(
-        frozen_model,
-        paired.image.features.astype(dtype),
-        paired.text.features.astype(dtype),
-        mode="eval",
-    )
-    o_image, o_text = cache.image.o, cache.text.o
+    o_image = evaluation.embed_dataset(frozen_model, paired.image)
+    o_text = evaluation.embed_dataset(frozen_model, paired.text)
 
     head = model_mod.init_head(
         frozen_model.joint_dim, num_task_classes, seed=cfg.seed, dtype=dtype

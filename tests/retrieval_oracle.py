@@ -1,8 +1,8 @@
 """Per-query retrieval loop: the reference implementation of
 ``evaluation.mean_average_precision``.
 
-Production ranks queries in blocks with a fast argsort and re-sorts only rows
-with equal scores stably. This module keeps the original loop, one stable
+Production ranks queries in blocks with a fast argsort and repairs the order
+of only the rows with equal scores. This module keeps the original loop, one stable
 argsort and one AP per query, with its own copies of the ranking and AP
 conventions, so a fault in the production versions cannot hide here too.
 """

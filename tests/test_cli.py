@@ -215,6 +215,31 @@ def test_eval_retrieval_corrupt_checkpoint_exit_2(dataset, tmp_path, capsys):
     assert code == 2
 
 
+def test_eval_retrieval_non_utf8_tensor_name_exit_2(run_dir, dataset, tmp_path, capsys):
+    blob = bytearray((run_dir / "final.ckpt").read_bytes())
+    blob[22] = 0xFF  # first byte of the first tensor name
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    args = ("--manifest", str(dataset / "test.manifest"), "--checkpoint", str(bad))
+    for argv in (("eval-retrieval", *args), ("embed", *args, "--out", str(tmp_path / "e"))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "utf-8 at offset 22" in err
+
+
+def test_eval_retrieval_oversized_feature_header_exit_2(run_dir, dataset, capsys):
+    test_image = dataset / "test_image.txt"
+    lines = test_image.read_text().splitlines(keepends=True)
+    test_image.write_text("COBRA-FEAT 1 image 1000000000 1000 3\n" + "".join(lines[1:]))
+    code, out, err = run_cli(
+        capsys, "eval-retrieval", "--manifest", str(dataset / "test.manifest"),
+        "--checkpoint", str(run_dir / "final.ckpt"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "header claims 1000000000 rows" in err
+
+
 def test_embed_produces_feature_files(run_dir, dataset, tmp_path, capsys):
     out = tmp_path / "emb"
     code, *_ = run_cli(

@@ -94,6 +94,23 @@ def test_load_rejects_short_file(tmp_path):
         data.load_feature_file(p)
 
 
+def test_load_rejects_header_larger_than_file(tmp_path):
+    # 1e9 x 1000 would be a 3.6 TiB allocation; the file size rules it out
+    p = tmp_path / "f.txt"
+    p.write_text("COBRA-FEAT 1 image 1000000000 1000 2\n0,1.0\n")
+    with pytest.raises(FormatError, match=r":1: header claims 1000000000 rows"):
+        data.load_feature_file(p)
+
+
+def test_load_accepts_minimal_rows_without_final_newline(tmp_path):
+    # the size bound is tight: one-character fields and no last newline
+    p = tmp_path / "f.txt"
+    p.write_text("COBRA-FEAT 1 text 2 2 2\n0,1,2\n1,3,4")
+    ds = data.load_feature_file(p)
+    assert ds.labels.tolist() == [0, 1]
+    assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_load_rejects_trailing_rows(tmp_path):
     p = tmp_path / "f.txt"
     p.write_text("COBRA-FEAT 1 image 1 1 1\n0,1.0\n0,2.0\n")

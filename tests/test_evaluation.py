@@ -71,6 +71,50 @@ def test_rank_gallery_block_matches_stable_sort_per_row():
     assert np.array_equal(evaluation.rank_gallery(sims[3]), want[3])
 
 
+@given(
+    seed=st.integers(0, 100_000),
+    rows=st.integers(1, 2 * evaluation._QUERY_BLOCK + 7),
+    width=st.integers(1, 300),
+)
+@settings(max_examples=60, deadline=None)
+def test_rank_gallery_float32_ties_match_stable_argsort(seed, rows, width):
+    """The key-sort tie repair equals a stable argsort on float32 blocks full
+    of equal scores, mixed -0.0/0.0 runs, NaN runs and infinities."""
+    rng = np.random.default_rng(seed)
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, np.inf, -np.inf, np.nan], np.float32)
+    sims = rng.choice(values[: int(rng.integers(2, values.size + 1))], size=(rows, width))
+    sims[rng.random(rows) < 0.3] = rng.normal(size=width).astype(np.float32)  # tie-free rows
+    want = np.argsort(-sims, axis=-1, kind="stable")
+    got = np.concatenate(
+        [
+            evaluation.rank_gallery(sims[start : start + evaluation._QUERY_BLOCK])
+            for start in range(0, rows, evaluation._QUERY_BLOCK)
+        ]
+    )
+    assert np.array_equal(got, want)
+    assert np.array_equal(evaluation.rank_gallery(sims[-1]), want[-1])
+
+
+@given(seed=st.integers(0, 100_000), map_at=st.sampled_from([None, 5]))
+@settings(max_examples=15, deadline=None)
+def test_float32_retrieval_matches_loop_oracle(seed, map_at):
+    """A float32 model's similarities tie often; blocked retrieval still
+    equals the per-query loop exactly, across three query blocks."""
+    rng = np.random.default_rng(seed)
+    nq, ng, d, c = 2 * evaluation._QUERY_BLOCK + 7, int(rng.integers(1, 120)), 3, 3
+    q, g = _tied_rows(rng, nq, d), _tied_rows(rng, ng, d)
+    ql, gl = rng.integers(0, c, nq), rng.integers(0, c, ng)
+    m = _identity_model(d, np.float32)
+    qs, gs = _raw_datasets(q, g, ql, gl)
+    frag = evaluation.mean_average_precision(m, qs, gs, "ITT", map_at=map_at)
+    q_emb, g_emb = evaluation.embed_dataset(m, qs), evaluation.embed_dataset(m, gs)
+    assert q_emb.dtype == np.float32
+    aps, excluded, map_value = retrieval_oracle.map_from_embeddings(
+        q_emb, g_emb, ql, gl, map_at=map_at
+    )
+    assert (frag.ap_per_query, frag.n_excluded, frag.map_value) == (aps, excluded, map_value)
+
+
 def test_average_precision_block_matches_per_row():
     rng = np.random.default_rng(6)
     rel = rng.random((30, 500)) < 0.1
@@ -108,19 +152,19 @@ def brute_force_map(q_emb, g_emb, q_labels, g_labels):
     return (sum(aps) / len(aps) if aps else 0.0), excluded
 
 
-def _identity_model(d):
+def _identity_model(d, dtype=np.float64):
     """Stands in for a trained model so retrieval math can be tested directly:
     joint_dim == feature dim and every layer passes its input through."""
-    m = model_mod.init_model(d, d, d, seed=0, dtype=np.float64, hidden_dim=d, latent_dim=d)
+    m = model_mod.init_model(d, d, d, seed=0, dtype=dtype, hidden_dim=d, latent_dim=d)
     for pipe in (m.image, m.text):
         for layers in (pipe.encoder, pipe.decoder):
             for w, b in layers:
-                w.value = np.eye(d)
+                w.value = np.eye(d, dtype=dtype)
                 b.value[...] = 0.0
         # offset keeps ReLU inactive-region clipping from touching the data
         pipe.encoder[0][1].value[...] = 100.0
         pipe.encoder[2][1].value[...] = -100.0
-        pipe.projection[0][0].value = np.eye(d)
+        pipe.projection[0][0].value = np.eye(d, dtype=dtype)
         pipe.projection[0][1].value[...] = 0.0
     return m
 

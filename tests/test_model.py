@@ -47,18 +47,6 @@ def test_init_rejects_bad_dims():
         model_mod.init_model(4, 4, 0, seed=0)
 
 
-def test_shared_projection_aliases_params():
-    m = model_mod.init_model(
-        8, 6, 3, seed=0, shared_projection=True, hidden_dim=5, latent_dim=4
-    )
-    assert m.image.projection[0][0] is m.text.projection[0][0]
-    # params() must not double-count the shared head
-    names = [p.name for p in m.params()]
-    assert len(names) == len(set(names))
-    unshared = model_mod.init_model(8, 6, 3, seed=0, hidden_dim=5, latent_dim=4)
-    assert len(m.params()) == len(unshared.params()) - 2
-
-
 def test_encode_project_shapes():
     m = tiny_model()
     x = np.zeros((3, 5))

@@ -1,45 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from cobra import nn
-from cobra.errors import NumericError, ParameterError, ShapeError
+from cobra.errors import NumericError, ParameterError
 from cobra.nn import Param
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(nn.matmul(np.eye(2), a), a)
-
-
-def test_matmul_hand_value():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[1.0], [1.0]])
-    assert np.array_equal(nn.matmul(a, b), [[3.0], [7.0]])
-
-
-def test_matmul_zero_annihilates():
-    a = np.random.default_rng(0).normal(size=(3, 3))
-    assert np.array_equal(nn.matmul(np.zeros((2, 3)), a), np.zeros((2, 3)))
-
-
-def test_matmul_shape_error_names_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        nn.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-@given(
-    a=arrays(np.float64, (2, 3), elements=st.floats(-10, 10)),
-    b=arrays(np.float64, (3, 4), elements=st.floats(-10, 10)),
-    c=arrays(np.float64, (4, 2), elements=st.floats(-10, 10)),
-)
-@settings(max_examples=50, deadline=None)
-def test_matmul_associative(a, b, c):
-    lhs = nn.matmul(nn.matmul(a, b), c)
-    rhs = nn.matmul(a, nn.matmul(b, c))
-    assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
 
 def test_affine_forward_identity():

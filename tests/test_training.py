@@ -1,3 +1,4 @@
+import io
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,32 @@ def test_epoch_record_format():
     }
     assert fields["epoch"] == "1"
     float(fields["total"])  # parses
+
+
+def test_train_records_best_epoch(tmp_path, capsys, monkeypatch):
+    # epoch 2 has the lowest validation loss, so it writes best.ckpt
+    losses = iter([3.0, 1.0, 2.0])
+    monkeypatch.setattr(training, "validation_loss", lambda *a: next(losses))
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    train_pair, val_pair = data.split(paired, [0.8, 0.2], seed=0)
+    log = io.StringIO()
+    result = training.train(
+        train_pair, val_pair, small_config(epochs=3), out_dir=tmp_path, log_stream=log
+    )
+    assert result.best_epoch == 2
+    want = "best_epoch=2 best_val_total=1"
+    assert capsys.readouterr().out.splitlines()[-1] == want
+    assert log.getvalue().splitlines()[-1] == want
+    assert sum(line.startswith("best_epoch=") for line in log.getvalue().splitlines()) == 1
+    assert result.best_path == str(tmp_path / "best.ckpt")
+
+
+def test_train_records_best_epoch_without_out_dir():
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    result = _train(paired, small_config(epochs=3))
+    val = [r.val_total for r in result.reports]
+    assert result.best_epoch == 1 + val.index(min(val))
+    assert result.best_path is None
 
 
 def test_train_warns_once_when_batch_clipped(capsys):
@@ -260,3 +287,30 @@ def test_train_classifier_custom_task_labels():
     assert head.num_classes == 2
     with pytest.raises(ConfigError):
         training.train_classifier(m, paired, task_labels=task[:-1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_classifier_embeds_without_decoders(monkeypatch, dtype):
+    """The frozen embeddings are encode->project only, and equal the joint
+    embeddings of a full forward pass bit for bit."""
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    m = model_mod.init_model(6, 5, 3, seed=0, dtype=dtype)
+    seen = {}
+    embed = training.evaluation.embed_dataset
+
+    def recording(model, ds):
+        seen[ds.modality] = embed(model, ds)
+        return seen[ds.modality]
+
+    forward_full = model_mod.forward_full
+    monkeypatch.setattr(training.evaluation, "embed_dataset", recording)
+    monkeypatch.setattr(model_mod, "forward_full", None)  # the decoders never run
+    head = training.train_classifier(m, paired, head_config=HeadConfig(epochs=1))
+    full = forward_full(
+        m, paired.image.features.astype(dtype), paired.text.features.astype(dtype)
+    )
+    for modality, want in (("image", full.image.o), ("text", full.text.o)):
+        got = seen[modality]
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+    assert all(q.value.dtype == dtype for q in head.params())
