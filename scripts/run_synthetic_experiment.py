@@ -13,25 +13,30 @@ import time
 from pathlib import Path
 
 from cobra import data, evaluation, training
-from cobra.losses import LossWeights
+from cobra.losses import CONTRASTIVE_VARIANTS, LossWeights
 from cobra.training import HeadConfig, TrainConfig
 
 
 def main() -> int:
+    # defaults are SyntheticSpec's and TrainConfig's, except the shorter
+    # --epochs and --head-epochs of this quick experiment
+    spec, cfg = data.SyntheticSpec(), TrainConfig()
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--classes", type=int, default=10)
-    ap.add_argument("--d-image", type=int, default=64)
-    ap.add_argument("--d-text", type=int, default=32)
-    ap.add_argument("--pairs-per-class", type=int, default=200)
-    ap.add_argument("--sigma", type=float, default=0.1)
-    ap.add_argument("--separation", type=float, default=4.0)
+    ap.add_argument("--classes", type=int, default=spec.classes)
+    ap.add_argument("--d-image", type=int, default=spec.d_image)
+    ap.add_argument("--d-text", type=int, default=spec.d_text)
+    ap.add_argument("--pairs-per-class", type=int, default=spec.pairs_per_class)
+    ap.add_argument("--sigma", type=float, default=spec.sigma)
+    ap.add_argument("--separation", type=float, default=spec.separation)
     ap.add_argument("--epochs", type=int, default=15)
-    ap.add_argument("--batch", type=int, default=128)
-    ap.add_argument("--eta", type=float, default=0.01)
-    ap.add_argument("--lambda-c", type=float, default=0.1)
-    ap.add_argument("--contrastive", choices=["nce", "setform"], default="nce")
+    ap.add_argument("--batch", type=int, default=cfg.batch)
+    ap.add_argument("--eta", type=float, default=cfg.eta)
+    ap.add_argument("--lambda-c", type=float, default=cfg.weights.lambda_c)
+    ap.add_argument(
+        "--contrastive", choices=CONTRASTIVE_VARIANTS, default=cfg.contrastive_variant
+    )
     ap.add_argument("--head-epochs", type=int, default=30)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=spec.seed)
     ap.add_argument("--out", default=None, help="directory for checkpoints (optional)")
     args = ap.parse_args()
 

@@ -4,7 +4,9 @@ gradcheck.
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 I/O error,
 4 numeric halt. Machine-readable records go to stdout, progress to stderr.
 Flag values override config-file values override built-in defaults; the
-effective training config is echoed to the run log.
+effective training config is echoed to the run log. The `train` and `synth`
+settings, their types, defaults and valid values come from the fields of
+TrainConfig (with LossWeights) and SyntheticSpec.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import fields as dc_fields
 from pathlib import Path
 
 from . import checkpoint, data, evaluation, gradcheck, training
-from .errors import CobraError, NumericError
+from .errors import CobraError, ConfigError, NumericError
 from .losses import LossWeights
 
 EXIT_OK = 0
@@ -24,26 +26,26 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-# config-file keys mirroring TrainConfig plus CLI-level knobs
-TRAIN_KEYS = {
-    "eta": float,
-    "epochs": int,
-    "batch": int,
-    "iters_per_epoch": int,
-    "lambda_r": float,
-    "lambda_s": float,
-    "lambda_m": float,
-    "lambda_c": float,
-    "negatives": int,
-    "contrastive": str,
-    "score_mode": str,
-    "nce_form": str,
-    "temperature": float,
-    "reduction": str,
-    "seed": int,
-    "checkpoint_every": int,
-    "val_fraction": float,
-}
+# Config-file keys and flags are TrainConfig field names, LossWeights' flattened
+# in place of `weights`, except these two
+_RENAMED = {"n_negatives": "negatives", "contrastive_variant": "contrastive"}
+
+
+def _train_fields():
+    """TrainConfig's fields with LossWeights' in place of `weights`."""
+    for f in dc_fields(training.TrainConfig):
+        yield from dc_fields(LossWeights) if f.name == "weights" else (f,)
+
+
+def _setting(f) -> tuple:
+    """(default, type, choices) of a dataclass field; a None default is an int."""
+    return f.default, int if f.default is None else type(f.default), f.metadata.get("choices")
+
+
+# key -> (default, type, choices); val_fraction is the CLI's own
+TRAIN_SETTINGS = {_RENAMED.get(f.name, f.name): _setting(f) for f in _train_fields()}
+TRAIN_SETTINGS["val_fraction"] = (0.1, float, None)
+SYNTH_SETTINGS = {f.name: _setting(f) for f in dc_fields(data.SyntheticSpec)}
 
 
 def _progress(msg: str):
@@ -52,48 +54,28 @@ def _progress(msg: str):
 
 def read_config_file(path) -> dict:
     out = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(data.read_text(path).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "=" not in line:
             raise CobraError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in TRAIN_KEYS:
+        if key not in TRAIN_SETTINGS:
             raise CobraError(f"{path}:{lineno}: unknown config key {key!r}")
+        kind = TRAIN_SETTINGS[key][1]
         try:
-            out[key] = TRAIN_KEYS[key](value.strip())
+            out[key] = kind(value.strip())
         except ValueError:
             raise CobraError(
-                f"{path}:{lineno}: {key} expects {TRAIN_KEYS[key].__name__}, "
-                f"got {value.strip()!r}"
+                f"{path}:{lineno}: {key} expects {kind.__name__}, got {value.strip()!r}"
             ) from None
     return out
 
 
 def effective_train_settings(args) -> dict:
     """defaults <- config file <- explicit flags."""
-    settings = {
-        "eta": 0.01,
-        "epochs": 200,
-        "batch": 128,
-        "iters_per_epoch": None,
-        "lambda_r": 1.0,
-        "lambda_s": 1.0,
-        "lambda_m": 1.0,
-        "lambda_c": 0.1,
-        "negatives": 10,
-        "contrastive": "nce",
-        "score_mode": "exp",
-        "nce_form": "log",
-        "temperature": 1.0,
-        "reduction": "mean",
-        "seed": 0,
-        "checkpoint_every": 0,
-        "val_fraction": 0.1,
-    }
+    settings = {key: default for key, (default, _, _) in TRAIN_SETTINGS.items()}
     if getattr(args, "config", None):
         settings.update(read_config_file(args.config))
     for key in settings:
@@ -104,38 +86,24 @@ def effective_train_settings(args) -> dict:
 
 
 def _train_config(settings: dict) -> training.TrainConfig:
-    return training.TrainConfig(
-        eta=settings["eta"],
-        epochs=settings["epochs"],
-        batch=settings["batch"],
-        iters_per_epoch=settings["iters_per_epoch"],
-        weights=LossWeights(
-            lambda_r=settings["lambda_r"],
-            lambda_s=settings["lambda_s"],
-            lambda_m=settings["lambda_m"],
-            lambda_c=settings["lambda_c"],
-        ),
-        n_negatives=settings["negatives"],
-        contrastive_variant=settings["contrastive"],
-        score_mode=settings["score_mode"],
-        nce_form=settings["nce_form"],
-        temperature=settings["temperature"],
-        seed=settings["seed"],
-        checkpoint_every=settings["checkpoint_every"],
-        reduction=settings["reduction"],
-    )
+    kw = {f.name: settings[_RENAMED.get(f.name, f.name)] for f in _train_fields()}
+    weights = LossWeights(**{f.name: kw.pop(f.name) for f in dc_fields(LossWeights)})
+    return training.TrainConfig(weights=weights, **kw)
+
+
+def _add_setting_flags(parser, settings: dict, with_defaults: bool):
+    for key, (default, kind, choices) in settings.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key,
+            type=kind,
+            choices=choices,
+            default=default if with_defaults else None,
+        )
 
 
 def cmd_synth(args) -> int:
-    spec = data.SyntheticSpec(
-        classes=args.classes,
-        d_image=args.d_image,
-        d_text=args.d_text,
-        pairs_per_class=args.pairs_per_class,
-        sigma=args.sigma,
-        separation=args.separation,
-        seed=args.seed,
-    )
+    spec = data.SyntheticSpec(**{key: getattr(args, key) for key in SYNTH_SETTINGS})
     paired = data.generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,11 +138,13 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     settings = effective_train_settings(args)
     config = _train_config(settings)
+    frac = settings["val_fraction"]
+    if not args.val_manifest and not 0 < frac < 1:
+        raise ConfigError(f"val_fraction must lie in (0, 1), got {frac}")
     train_pair = data.load_paired(args.manifest)
     if args.val_manifest:
         val_pair = data.load_paired(args.val_manifest)
     else:
-        frac = settings["val_fraction"]
         train_pair, val_pair = data.split(
             train_pair, [1.0 - frac, frac], settings["seed"]
         )
@@ -239,13 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a synthetic paired dataset")
-    sp.add_argument("--classes", type=int, default=10)
-    sp.add_argument("--d-image", type=int, default=64)
-    sp.add_argument("--d-text", type=int, default=32)
-    sp.add_argument("--pairs-per-class", type=int, default=200)
-    sp.add_argument("--sigma", type=float, default=0.1)
-    sp.add_argument("--separation", type=float, default=4.0)
-    sp.add_argument("--seed", type=int, default=0)
+    _add_setting_flags(sp, SYNTH_SETTINGS, with_defaults=True)
     sp.add_argument("--out", required=True)
     sp.add_argument(
         "--split", default=None, help="comma fractions, e.g. 0.8,0.1,0.1"
@@ -257,23 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--val-manifest", default=None)
     tp.add_argument("--out", required=True)
     tp.add_argument("--config", default=None, help="key=value config file")
-    tp.add_argument("--eta", type=float)
-    tp.add_argument("--epochs", type=int)
-    tp.add_argument("--batch", type=int, dest="batch")
-    tp.add_argument("--iters-per-epoch", type=int, dest="iters_per_epoch")
-    tp.add_argument("--lambda-r", type=float, dest="lambda_r")
-    tp.add_argument("--lambda-s", type=float, dest="lambda_s")
-    tp.add_argument("--lambda-m", type=float, dest="lambda_m")
-    tp.add_argument("--lambda-c", type=float, dest="lambda_c")
-    tp.add_argument("--negatives", type=int)
-    tp.add_argument("--contrastive", choices=["setform", "nce"])
-    tp.add_argument("--score-mode", choices=["exp", "literal"], dest="score_mode")
-    tp.add_argument("--nce-form", choices=["log", "literal"], dest="nce_form")
-    tp.add_argument("--temperature", type=float)
-    tp.add_argument("--reduction", choices=["mean", "sum"])
-    tp.add_argument("--seed", type=int)
-    tp.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-    tp.add_argument("--val-fraction", type=float, dest="val_fraction")
+    # unset flags stay None, so config-file values and defaults apply
+    _add_setting_flags(tp, TRAIN_SETTINGS, with_defaults=False)
     tp.set_defaults(func=cmd_train)
 
     rp = sub.add_parser("eval-retrieval", help="cross-modal retrieval mAP")

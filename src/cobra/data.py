@@ -8,6 +8,9 @@ Feature file format (UTF-8 text):
 Manifest format: line-based ``key=value`` with keys ``image_file``,
 ``text_file`` and ``name``; unknown keys are rejected. File paths are
 resolved relative to the manifest's directory.
+
+Both parsers are total: they return valid data or raise FormatError, also
+for bytes that are not UTF-8.
 """
 
 from __future__ import annotations
@@ -110,8 +113,27 @@ def write_feature_file(ds: FeatureDataset, path):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_text(path) -> str:
+    """The whole file decoded as UTF-8; a byte that is not UTF-8 is a
+    FormatError naming its line and offset."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 at byte offset {e.start}") from None
+
+
 def load_feature_file(path) -> FeatureDataset:
     path = Path(path)
+    try:
+        return _read_feature_file(path)
+    except UnicodeDecodeError:
+        read_text(path)  # raises the FormatError that names the line
+        raise
+
+
+def _read_feature_file(path: Path) -> FeatureDataset:
     with path.open(encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
@@ -199,6 +221,8 @@ class SyntheticSpec:
             raise ConfigError("sigma and separation must be positive")
         if self.pairs_per_class < 1:
             raise ConfigError("pairs_per_class must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -252,7 +276,7 @@ def split(paired: PairedDataset, fractions, seed: int):
     Returns one PairedDataset per fraction.
     """
     fractions = list(fractions)
-    if any(f <= 0 for f in fractions) or sum(fractions) > 1.0 + 1e-9:
+    if not all(f > 0 for f in fractions) or sum(fractions) > 1.0 + 1e-9:  # NaN fails
         raise ConfigError(f"fractions must be positive and sum to <= 1, got {fractions}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(8,)))
     parts: list[list[int]] = [[] for _ in fractions]
@@ -293,7 +317,7 @@ def write_manifest(path, image_file: str, text_file: str, name: str):
 def read_manifest(path) -> dict[str, str]:
     path = Path(path)
     out: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         if "=" not in line:

@@ -14,7 +14,7 @@ from . import losses, model as model_mod
 from .losses import LossWeights
 from .model import LossGrads
 from .nn import Param, affine_backward, affine_forward, finite_diff_grad, max_rel_err
-from .training import softmax_cross_entropy
+from .training import TrainConfig, softmax_cross_entropy
 
 THRESHOLD = 1e-4
 EPSILON = 1e-5
@@ -45,37 +45,22 @@ def _toy_setup(seed: int):
     return model, x_i, x_t, y
 
 
-def _component_weights(component: str) -> LossWeights:
+def _component_config(component: str, **settings) -> TrainConfig:
+    """Only `component`'s loss weighted; three negatives per contrastive set."""
     kw = dict(lambda_r=0.0, lambda_s=0.0, lambda_m=0.0, lambda_c=0.0)
     kw[f"lambda_{component}"] = 1.0
-    return LossWeights(**kw)
+    return TrainConfig(weights=LossWeights(**kw), n_negatives=3, **settings)
 
 
 def _check_model_loss(
-    name: str,
-    weights: LossWeights,
-    seed: int,
-    corrupt: str | None,
-    contrastive_variant: str = "nce",
-    score_mode: str = "exp",
-    nce_form: str = "log",
+    name: str, cfg: TrainConfig, seed: int, corrupt: str | None
 ) -> CheckResult:
     model, x_i, x_t, y = _toy_setup(seed)
 
     def breakdown():
         cache = model_mod.forward_full(model, x_i, x_t, mode="eval")
         # fixed-seed sampling keeps the objective a pure function of params
-        bd = losses.total_loss(
-            cache,
-            y,
-            y,
-            weights,
-            np.random.default_rng(12345),
-            n_negatives=3,
-            contrastive_variant=contrastive_variant,
-            score_mode=score_mode,
-            nce_form=nce_form,
-        )
+        bd = losses.total_loss(cache, y, y, cfg, np.random.default_rng(12345))
         return cache, bd
 
     cache, bd = breakdown()
@@ -173,26 +158,22 @@ def run_gradcheck(seed: int = 0, corrupt: str | None = None) -> list[CheckResult
     results = [_check_affine(seed)]
     for comp in ("r", "m", "s"):
         results.append(
-            _check_model_loss(f"loss_{comp}", _component_weights(comp), seed, corrupt)
+            _check_model_loss(f"loss_{comp}", _component_config(comp), seed, corrupt)
         )
     results.append(
         _check_model_loss(
             "loss_c_setform_exp",
-            _component_weights("c"),
+            _component_config("c", contrastive_variant="setform", score_mode="exp"),
             seed,
             corrupt,
-            contrastive_variant="setform",
-            score_mode="exp",
         )
     )
     results.append(
         _check_model_loss(
             "loss_c_nce_log",
-            _component_weights("c"),
+            _component_config("c", contrastive_variant="nce", nce_form="log"),
             seed,
             corrupt,
-            contrastive_variant="nce",
-            nce_form="log",
         )
     )
     results.append(
@@ -202,7 +183,10 @@ def run_gradcheck(seed: int = 0, corrupt: str | None = None) -> list[CheckResult
     results.append(
         _check_model_loss(
             "loss_total",
-            LossWeights(lambda_r=1.0, lambda_s=1.0, lambda_m=1.0, lambda_c=0.1),
+            TrainConfig(
+                weights=LossWeights(lambda_r=1.0, lambda_s=1.0, lambda_m=1.0, lambda_c=0.1),
+                n_negatives=3,
+            ),
             seed,
             corrupt,
         )

@@ -21,12 +21,25 @@ the raw sums. The contrastive term is always a mean over drawn sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, LabelError, NumericError, PairingError, ShapeError
 
+if TYPE_CHECKING:
+    from .training import TrainConfig
+
 CLAMP_FLOOR = 1e-12
+CONTRASTIVE_VARIANTS = ("setform", "nce")
+SCORE_MODES = ("exp", "literal")  # setform
+NCE_FORMS = ("log", "literal")
+REDUCTIONS = ("mean", "sum")
+
+
+def check_choice(name: str, value, choices: tuple):
+    if value not in choices:
+        raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
 
 
 @dataclass
@@ -38,7 +51,7 @@ class LossWeights:
 
     def __post_init__(self):
         vals = (self.lambda_r, self.lambda_s, self.lambda_m, self.lambda_c)
-        if any(v < 0 for v in vals):
+        if not all(v >= 0 for v in vals):  # NaN fails too
             raise ConfigError(f"loss weights must be nonnegative, got {vals}")
         if all(v == 0 for v in vals):
             raise ConfigError("at least one loss weight must be positive")
@@ -90,11 +103,8 @@ class LossBreakdown:
 
 
 def _scale(reduction: str, n: int) -> float:
-    if reduction == "mean":
-        return 1.0 / n
-    if reduction == "sum":
-        return 1.0
-    raise ConfigError(f"reduction must be mean|sum, got {reduction!r}")
+    check_choice("reduction", reduction, REDUCTIONS)
+    return 1.0 / n if reduction == "mean" else 1.0
 
 
 def recon_loss(x_hat_image, x_image, x_hat_text, x_text, reduction="sum"):
@@ -251,8 +261,7 @@ def contrastive_loss_setform(
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
-    if score_mode not in ("exp", "literal"):
-        raise ConfigError(f"score_mode must be exp|literal, got {score_mode!r}")
+    check_choice("score_mode", score_mode, SCORE_MODES)
 
     def block_loss(dots, anchor, cand):
         raw = dots[np.arange(cand.shape[0])[:, None], cand]
@@ -304,8 +313,7 @@ def nce_loss(
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
-    if form not in ("log", "literal"):
-        raise ConfigError(f"form must be log|literal, got {form!r}")
+    check_choice("nce_form", form, NCE_FORMS)
 
     def block_loss(dots, anchor, cand):
         n_rows = dots.shape[1]
@@ -337,21 +345,12 @@ def nce_loss(
 
 
 def total_loss(
-    cache,
-    labels_image,
-    labels_text,
-    weights: LossWeights,
-    rng: np.random.Generator,
-    n_negatives: int = 10,
-    contrastive_variant: str = "nce",
-    score_mode: str = "exp",
-    nce_form: str = "log",
-    temperature: float = 1.0,
-    reduction: str = "mean",
+    cache, labels_image, labels_text, cfg: TrainConfig, rng: np.random.Generator
 ) -> LossBreakdown:
     """Assembles the weighted objective and its upstream gradients from a
-    ForwardCache. Component gradients targeting the same tensor are summed
-    with their weights applied."""
+    ForwardCache, with the weights and loss settings of `cfg`. Component
+    gradients targeting the same tensor are summed with their weights applied."""
+    weights, reduction = cfg.weights, cfg.reduction
     img, txt = cache.image, cache.text
     bd = LossBreakdown(
         d_o_image=np.zeros_like(img.o),
@@ -377,20 +376,17 @@ def total_loss(
     bd.d_o_text += weights.lambda_s * g_st
 
     if weights.lambda_c > 0:
+        check_choice("contrastive_variant", cfg.contrastive_variant, CONTRASTIVE_VARIANTS)
         sets, bd.skipped_anchors = sample_contrastive_sets(
-            labels_image, labels_text, n_negatives, rng
+            labels_image, labels_text, cfg.n_negatives, rng
         )
-        if contrastive_variant == "setform":
+        if cfg.contrastive_variant == "setform":
             bd.l_c, g_ci, g_ct, bd.clamped_scores = contrastive_loss_setform(
-                sets, img.o, txt.o, score_mode, temperature
-            )
-        elif contrastive_variant == "nce":
-            bd.l_c, g_ci, g_ct = nce_loss(
-                sets, img.o, txt.o, form=nce_form, temperature=temperature
+                sets, img.o, txt.o, cfg.score_mode, cfg.temperature
             )
         else:
-            raise ConfigError(
-                f"contrastive_variant must be setform|nce, got {contrastive_variant!r}"
+            bd.l_c, g_ci, g_ct = nce_loss(
+                sets, img.o, txt.o, form=cfg.nce_form, temperature=cfg.temperature
             )
         bd.d_o_image += weights.lambda_c * g_ci
         bd.d_o_text += weights.lambda_c * g_ct

@@ -10,7 +10,7 @@ from __future__ import annotations
 import shutil
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,32 +19,53 @@ from . import evaluation, losses, model as model_mod
 from .checkpoint import save_checkpoint
 from .data import PairedDataset
 from .errors import ConfigError, NumericError
-from .losses import LossBreakdown, LossWeights
+from .losses import LossBreakdown, LossWeights, check_choice
 from .model import ClassifierHead, CobraModel, LossGrads
 from .nn import RngStreams, sgd_step
 
 
+def _choice(default: str, choices: tuple):
+    return field(default=default, metadata={"choices": choices})
+
+
+def _check_ranges(cfg, positive=(), minimum=None):
+    """Each field named in `positive` must be > 0 (NaN is not); each key of
+    `minimum` must be at least its value."""
+    for name in positive:
+        if not getattr(cfg, name) > 0:
+            raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
+    for name, low in (minimum or {}).items():
+        if getattr(cfg, name) < low:
+            raise ConfigError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
+
+
 @dataclass
 class TrainConfig:
+    """Every training setting, its default and its valid range. The CLI's
+    `train` flags and config-file keys are derived from these fields."""
+
     eta: float = 0.01
     epochs: int = 200
     batch: int = 128
     iters_per_epoch: int | None = None  # default: ceil(n_pairs / batch)
     weights: LossWeights = field(default_factory=LossWeights)
     n_negatives: int = 10
-    contrastive_variant: str = "nce"  # nce | setform
-    score_mode: str = "exp"  # exp | literal (setform)
-    nce_form: str = "log"  # log | literal
+    contrastive_variant: str = _choice("nce", losses.CONTRASTIVE_VARIANTS)
+    score_mode: str = _choice("exp", losses.SCORE_MODES)  # setform only
+    nce_form: str = _choice("log", losses.NCE_FORMS)
     temperature: float = 1.0
     seed: int = 0
     checkpoint_every: int = 0  # epochs; 0 disables periodic checkpoints
-    reduction: str = "mean"
+    reduction: str = _choice("mean", losses.REDUCTIONS)
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
-        if self.epochs < 1 or self.batch < 1:
-            raise ConfigError("epochs and batch must be >= 1")
+        minimum = dict(epochs=1, batch=1, n_negatives=1, seed=0, checkpoint_every=0)
+        if self.iters_per_epoch is not None:
+            minimum["iters_per_epoch"] = 1
+        _check_ranges(self, ("eta", "temperature"), minimum)
+        for f in fields(self):
+            if "choices" in f.metadata:
+                check_choice(f.name, getattr(self, f.name), f.metadata["choices"])
 
 
 @dataclass
@@ -111,28 +132,6 @@ def sample_minibatch(paired: PairedDataset, b: int, rng: np.random.Generator):
     )
 
 
-def _compute_losses(
-    cache,
-    y_image,
-    y_text,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-) -> LossBreakdown:
-    return losses.total_loss(
-        cache,
-        y_image,
-        y_text,
-        cfg.weights,
-        rng,
-        n_negatives=cfg.n_negatives,
-        contrastive_variant=cfg.contrastive_variant,
-        score_mode=cfg.score_mode,
-        nce_form=cfg.nce_form,
-        temperature=cfg.temperature,
-        reduction=cfg.reduction,
-    )
-
-
 def train_step(state: TrainState, minibatch) -> LossBreakdown:
     """Forward, loss assembly, backward, SGD update. Halts on non-finite loss."""
     x_i, y_i, x_t, y_t, _ = minibatch
@@ -141,7 +140,7 @@ def train_step(state: TrainState, minibatch) -> LossBreakdown:
     cache = model_mod.forward_full(
         state.model, x_i.astype(dtype), x_t.astype(dtype), mode="train"
     )
-    bd = _compute_losses(cache, y_i, y_t, cfg, state.streams.get("negatives"))
+    bd = losses.total_loss(cache, y_i, y_t, cfg, state.streams.get("negatives"))
     if not np.isfinite(bd.total):
         raise NumericError(
             f"non-finite total loss at epoch {state.epoch} "
@@ -172,7 +171,7 @@ def validation_loss(
         mode="eval",
     )
     val_rng = streams.derive(4)
-    return _compute_losses(cache, paired.image.labels, paired.text.labels, cfg, val_rng).total
+    return losses.total_loss(cache, paired.image.labels, paired.text.labels, cfg, val_rng).total
 
 
 def train(
@@ -282,6 +281,9 @@ class HeadConfig:
     epochs: int = 100
     batch: int = 128
     seed: int = 0
+
+    def __post_init__(self):
+        _check_ranges(self, ("eta",), dict(epochs=1, batch=1, seed=0))
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):

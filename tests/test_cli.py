@@ -1,10 +1,15 @@
 """End-to-end command-line tests; each invocation goes through cli.main()."""
 
+import argparse
+import dataclasses
 import re
 
 import pytest
 
 from cobra import cli
+from cobra.data import SyntheticSpec
+from cobra.losses import LossWeights
+from cobra.training import TrainConfig
 
 
 def run_cli(capsys, *argv):
@@ -76,11 +81,10 @@ def test_synth_deterministic_byte_identical(tmp_path, capsys):
 
 
 def test_synth_invalid_config_exit_2(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "synth", "--classes", "1", "--out", str(tmp_path / "d")
-    )
-    assert code == 2
-    assert "error" in err
+    for bad in (["--classes", "1"], ["--seed", "-1"], ["--split", "nan,0.5"]):
+        code, _, err = run_cli(capsys, "synth", *bad, "--out", str(tmp_path / "d"))
+        assert code == 2
+        assert "error" in err
 
 
 def test_train_writes_run_log_and_checkpoints(run_dir):
@@ -146,6 +150,145 @@ def test_train_rejects_bad_config_value(dataset, tmp_path, capsys):
     assert code == 2
     assert f"{cfg}:2:" in err
     assert "epochs" in err
+
+
+@pytest.mark.parametrize(
+    "flags, config, setting",
+    [
+        pytest.param(["--iters-per-epoch", "-1"], None, "iters_per_epoch", id="iters-1"),
+        pytest.param(["--iters-per-epoch", "0"], None, "iters_per_epoch", id="iters0"),
+        pytest.param(["--checkpoint-every", "-1"], None, "checkpoint_every", id="ckpt-1"),
+        pytest.param([], "score_mode=bogus\n", "score_mode", id="score_mode_file"),
+        pytest.param(
+            [], "contrastive=bogus\nlambda_c=0\n", "contrastive", id="contrastive_file"
+        ),
+        pytest.param(["--negatives", "0", "--lambda-c", "0"], None, "negatives", id="neg0"),
+        pytest.param(
+            ["--temperature", "0", "--lambda-c", "0"], None, "temperature", id="temp0"
+        ),
+        pytest.param(["--val-fraction", "1.5"], None, "val_fraction", id="val_fraction"),
+        pytest.param(["--seed", "-1"], None, "seed", id="seed-1"),
+    ],
+)
+def test_train_rejects_invalid_setting_before_reading_data(
+    dataset, tmp_path, capsys, monkeypatch, flags, config, setting
+):
+    argv = ["train", "--manifest", str(dataset / "train.manifest")]
+    argv += ["--out", str(tmp_path / "r")]
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    read = []
+    load_paired = cli.data.load_paired
+    monkeypatch.setattr(cli.data, "load_paired", lambda p: read.append(p) or load_paired(p))
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert code == 2
+    assert setting in err
+    assert out == ""
+    assert read == []
+    assert not (tmp_path / "r").exists()
+
+
+def _non_utf8(path, line: int):
+    """Puts a byte that is not UTF-8 at the start of the 1-based `line`."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+def test_train_non_utf8_config_file_exit_2(dataset, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("eta=0.01\nepochs=2\n")
+    _non_utf8(cfg, 2)
+    code, _, err = run_cli(
+        capsys, "train", "--manifest", str(dataset / "train.manifest"),
+        "--out", str(tmp_path / "r"), "--config", str(cfg),
+    )
+    assert code == 2
+    assert f"{cfg}:2: not UTF-8" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("name, line", [("test.manifest", 2), ("test_text.txt", 3)])
+def test_eval_retrieval_non_utf8_input_exit_2(run_dir, dataset, capsys, name, line):
+    _non_utf8(dataset / name, line)
+    code, out, err = run_cli(
+        capsys, "eval-retrieval", "--manifest", str(dataset / "test.manifest"),
+        "--checkpoint", str(run_dir / "final.ckpt"),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{dataset / name}:{line}: not UTF-8" in err
+
+
+# the config lines of a default `cobra train` run, as users have seen them
+DEFAULT_CONFIG_LINES = [
+    "config batch=128",
+    "config checkpoint_every=0",
+    "config contrastive=nce",
+    "config epochs=200",
+    "config eta=0.01",
+    "config iters_per_epoch=None",
+    "config lambda_c=0.1",
+    "config lambda_m=1.0",
+    "config lambda_r=1.0",
+    "config lambda_s=1.0",
+    "config nce_form=log",
+    "config negatives=10",
+    "config reduction=mean",
+    "config score_mode=exp",
+    "config seed=0",
+    "config temperature=1.0",
+    "config val_fraction=0.1",
+]
+
+
+def _flags(command: str) -> dict:
+    """dest -> option strings of a subcommand's flags."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.option_strings for a in sub.choices[command]._actions if a.option_strings}
+
+
+def test_train_settings_have_one_source(dataset, tmp_path, capsys, monkeypatch):
+    """The train flags, the config-file keys, the run.log config keys and the
+    TrainConfig + LossWeights fields (two of them renamed) are one set."""
+    monkeypatch.setattr(cli.training, "train", lambda *args, **kwargs: None)
+    out = tmp_path / "r"
+    code, *_ = run_cli(
+        capsys, "train", "--manifest", str(dataset / "train.manifest"), "--out", str(out)
+    )
+    assert code == 0
+    logged = [l for l in (out / "run.log").read_text().splitlines() if l.startswith("config ")]
+    assert logged == DEFAULT_CONFIG_LINES
+    log_keys = {l[len("config "):].split("=")[0] for l in logged}
+
+    renamed = {"n_negatives": "negatives", "contrastive_variant": "contrastive"}
+    fields = {renamed.get(f.name, f.name) for f in dataclasses.fields(TrainConfig)}
+    fields = fields - {"weights"} | {f.name for f in dataclasses.fields(LossWeights)}
+    fields.add("val_fraction")
+
+    flags = _flags("train")
+    for key in ("help", "manifest", "val_manifest", "out", "config"):
+        del flags[key]
+    assert all(opts == ["--" + key.replace("_", "-")] for key, opts in flags.items())
+
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(l[len("config "):] + "\n" for l in logged).replace("=None", "=3"))
+    config_keys = set(cli.read_config_file(cfg))
+    assert config_keys == set(cli.TRAIN_SETTINGS)
+
+    assert set(flags) == config_keys == log_keys == fields
+    assert len(fields) == 17
+
+
+def test_synth_flags_are_synthetic_spec_fields():
+    flags = _flags("synth")
+    for key in ("help", "out", "split"):
+        del flags[key]
+    assert set(flags) == {f.name for f in dataclasses.fields(SyntheticSpec)}
+    assert all(opts == ["--" + key.replace("_", "-")] for key, opts in flags.items())
 
 
 def test_synth_split_not_a_number_exit_2(tmp_path, capsys):

@@ -217,6 +217,8 @@ def test_synthetic_spec_validation():
         data.SyntheticSpec(sigma=0.0)
     with pytest.raises(ConfigError):
         data.SyntheticSpec(pairs_per_class=0)
+    with pytest.raises(ConfigError, match="seed"):
+        data.SyntheticSpec(seed=-1)
 
 
 # ---------------------------------------------------------------- split
@@ -264,6 +266,8 @@ def test_split_rejects_bad_fractions():
         data.split(paired, [0.5, 0.6], seed=0)
     with pytest.raises(ConfigError):
         data.split(paired, [0.5, -0.1], seed=0)
+    with pytest.raises(ConfigError):
+        data.split(paired, [0.5, float("nan")], seed=0)
 
 
 def test_split_rejects_class_smaller_than_split_count():
@@ -306,3 +310,77 @@ def test_load_paired_resolves_relative_to_manifest(tmp_path):
     back = data.load_paired(sub / "d.manifest")
     assert back.n_pairs == paired.n_pairs
     assert np.array_equal(back.labels, paired.labels)
+
+
+# ---------------------------------------------------------------- totality
+
+
+def test_non_utf8_feature_file_names_the_line(tmp_path):
+    p = tmp_path / "f.txt"
+    p.write_bytes(b"COBRA-FEAT 1 image 2 1 1\n0,1.0\n0,\xff\n")
+    with pytest.raises(FormatError, match=r"f\.txt:3: not UTF-8 at byte offset 33"):
+        data.load_feature_file(p)
+
+
+def test_non_utf8_manifest_names_the_line(tmp_path):
+    p = tmp_path / "d.manifest"
+    p.write_bytes(b"image_file=a\ntext_file=\xc3b\n")
+    with pytest.raises(FormatError, match=r"d\.manifest:2: not UTF-8"):
+        data.read_manifest(p)
+
+
+def _check_feature_parse(p):
+    """load_feature_file gives a valid dataset or raises FormatError."""
+    try:
+        ds = data.load_feature_file(p)
+    except FormatError:
+        return
+    assert ds.features.dtype == np.float32 and np.isfinite(ds.features).all()
+    assert ds.labels.min() >= 0 and ds.labels.max() < ds.num_classes
+
+
+def _check_manifest_parse(p):
+    """read_manifest gives the required keys and no others, or raises FormatError."""
+    try:
+        m = data.read_manifest(p)
+    except FormatError:
+        return
+    assert {"image_file", "text_file"} <= set(m) <= set(data.MANIFEST_KEYS)
+    assert all(isinstance(v, str) for v in m.values())
+
+
+_FEATURE_HEADER = b"COBRA-FEAT 1 image 2 2 3\n"
+_EDITS = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4)
+_CUT = st.one_of(st.none(), st.integers(0, 10**6))
+
+
+def _mutate(blob: bytes, edits, cut) -> bytes:
+    blob = bytearray(blob)
+    for at, value in edits:
+        blob[at % len(blob)] = value
+    if cut is not None:
+        blob = blob[: cut % (len(blob) + 1)]
+    return bytes(blob)
+
+
+@given(blob=st.binary(max_size=200), header=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_parsers_total_on_arbitrary_bytes(blob, header, tmp_path_factory):
+    d = tmp_path_factory.mktemp("fz")
+    (d / "f.txt").write_bytes(_FEATURE_HEADER + blob if header else blob)
+    (d / "d.manifest").write_bytes(b"image_file=" + blob if header else blob)
+    _check_feature_parse(d / "f.txt")
+    _check_manifest_parse(d / "d.manifest")
+
+
+@given(seed=st.integers(0, 10_000), edits=_EDITS, cut=_CUT)
+@settings(max_examples=200, deadline=None)
+def test_parsers_total_on_mutated_files(seed, edits, cut, tmp_path_factory):
+    d = tmp_path_factory.mktemp("fz")
+    ds = _random_ds(np.random.default_rng(seed))
+    data.write_feature_file(ds, d / "f.txt")
+    data.write_manifest(d / "d.manifest", "f.txt", "f.txt", "demo")
+    parsers = ((d / "f.txt", _check_feature_parse), (d / "d.manifest", _check_manifest_parse))
+    for p, check in parsers:
+        p.write_bytes(_mutate(p.read_bytes(), edits, cut))
+        check(p)

@@ -22,6 +22,7 @@ from cobra.losses import (
     supervised_loss,
     total_loss,
 )
+from cobra.training import TrainConfig
 
 import contrastive_oracle as oracle
 from conftest import tiny_model
@@ -422,7 +423,8 @@ def test_total_loss_is_weighted_sum_of_components():
     cache = _forward(model)
     y = np.array([0, 1, 2, 0])
     w = LossWeights(0.7, 1.3, 0.4, 0.2)
-    bd = total_loss(cache, y, y, w, np.random.default_rng(5), n_negatives=2)
+    cfg = TrainConfig(weights=w, n_negatives=2)
+    bd = total_loss(cache, y, y, cfg, np.random.default_rng(5))
     assert bd.total == pytest.approx(
         0.7 * bd.l_r + 1.3 * bd.l_s + 0.4 * bd.l_m + 0.2 * bd.l_c, rel=1e-12
     )
@@ -433,10 +435,11 @@ def test_total_loss_gradients_linear_in_weights():
     model = tiny_model()
     cache = _forward(model)
     y = np.array([0, 1, 2, 0])
-    base = LossWeights(1.0, 0.0, 0.0, 1e-12)  # lambda_c ~ 0 but valid
-    double = LossWeights(2.0, 0.0, 0.0, 1e-12)
-    bd1 = total_loss(cache, y, y, base, np.random.default_rng(5), n_negatives=2)
-    bd2 = total_loss(cache, y, y, double, np.random.default_rng(5), n_negatives=2)
+    # lambda_c ~ 0 but valid
+    base = TrainConfig(weights=LossWeights(1.0, 0.0, 0.0, 1e-12), n_negatives=2)
+    double = TrainConfig(weights=LossWeights(2.0, 0.0, 0.0, 1e-12), n_negatives=2)
+    bd1 = total_loss(cache, y, y, base, np.random.default_rng(5))
+    bd2 = total_loss(cache, y, y, double, np.random.default_rng(5))
     assert np.allclose(bd2.d_xhat_image, 2 * bd1.d_xhat_image, atol=1e-10)
     assert np.allclose(bd2.d_xhat_text, 2 * bd1.d_xhat_text, atol=1e-10)
 
@@ -444,16 +447,14 @@ def test_total_loss_gradients_linear_in_weights():
 def test_total_loss_grad_matches_finite_diff_float64():
     model = tiny_model()
     y = np.array([0, 1, 2, 0])
-    w = LossWeights(1.0, 1.0, 1.0, 0.1)
+    cfg = TrainConfig(weights=LossWeights(1.0, 1.0, 1.0, 0.1), n_negatives=2)
 
     def value():
         cache = _forward(model)
-        return total_loss(
-            cache, y, y, w, np.random.default_rng(99), n_negatives=2
-        ).total
+        return total_loss(cache, y, y, cfg, np.random.default_rng(99)).total
 
     cache = _forward(model)
-    bd = total_loss(cache, y, y, w, np.random.default_rng(99), n_negatives=2)
+    bd = total_loss(cache, y, y, cfg, np.random.default_rng(99))
     model_mod.backward_full(
         model,
         cache,

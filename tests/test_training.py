@@ -37,12 +37,34 @@ def test_config_defaults():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(eta=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(batch=0)
+    bad = [
+        (TrainConfig, dict(eta=0.0), "eta"),
+        (TrainConfig, dict(eta=float("nan")), "eta"),
+        (TrainConfig, dict(epochs=0), "epochs"),
+        (TrainConfig, dict(batch=0), "batch"),
+        (TrainConfig, dict(n_negatives=0), "n_negatives"),
+        (TrainConfig, dict(iters_per_epoch=0), "iters_per_epoch"),
+        (TrainConfig, dict(iters_per_epoch=-1), "iters_per_epoch"),
+        (TrainConfig, dict(checkpoint_every=-1), "checkpoint_every"),
+        (TrainConfig, dict(seed=-1), "seed"),
+        (TrainConfig, dict(temperature=0.0), "temperature"),
+        (TrainConfig, dict(contrastive_variant="bogus"), "contrastive_variant"),
+        (TrainConfig, dict(score_mode="bogus"), "score_mode"),
+        (TrainConfig, dict(nce_form="bogus"), "nce_form"),
+        (TrainConfig, dict(reduction="bogus"), "reduction"),
+        (LossWeights, dict(lambda_c=float("nan")), "nonnegative"),
+        (HeadConfig, dict(eta=0.0), "eta"),
+        (HeadConfig, dict(eta=-1.0), "eta"),
+        (HeadConfig, dict(epochs=0), "epochs"),
+        (HeadConfig, dict(batch=0), "batch"),
+        (HeadConfig, dict(seed=-1), "seed"),
+    ]
+    for cls, kw, name in bad:
+        with pytest.raises(ConfigError, match=name):
+            cls(**kw)
+    # the edges of each range are valid
+    TrainConfig(iters_per_epoch=1, checkpoint_every=0, n_negatives=1)
+    HeadConfig(epochs=1, batch=1)
 
 
 def test_minibatch_shapes_and_alignment():
