@@ -91,14 +91,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
     return tensors
 
 
-def _pipeline_tensors(p: ModalityPipeline) -> dict[str, np.ndarray]:
-    return {q.name: q.value for q in p.params()}
-
-
 def save_checkpoint(model: CobraModel, path):
-    tensors = _pipeline_tensors(model.image)
-    tensors.update(_pipeline_tensors(model.text))
-    write_tensors(path, tensors)
+    write_tensors(path, {p.name: p.value for p in model.params()})
 
 
 def _shape(tensors: dict[str, np.ndarray], name: str) -> tuple[int, int]:
@@ -147,13 +141,12 @@ def load_checkpoint(path) -> CobraModel:
         h, z = hidden_dim, latent_dim
         return ModalityPipeline(
             modality,
-            d,
             _take_layers(tensors, f"{modality}.enc", [d, h, h, z]),
             _take_layers(tensors, f"{modality}.dec", [z, h, h, d]),
             _take_layers(tensors, f"{modality}.proj", [z, num_classes]),
         )
 
-    model = CobraModel(pipeline("image"), pipeline("text"), num_classes, num_classes)
+    model = CobraModel(pipeline("image"), pipeline("text"))
     _reject_leftovers(tensors)
     return model
 

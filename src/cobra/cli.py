@@ -53,6 +53,8 @@ def _progress(msg: str):
 
 
 def read_config_file(path) -> dict:
+    """key=value settings; the `config` lines of a run.log, without the
+    prefix, read back as the same settings."""
     out = {}
     for lineno, line in enumerate(data.read_text(path).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -63,12 +65,16 @@ def read_config_file(path) -> dict:
         key = key.strip()
         if key not in TRAIN_SETTINGS:
             raise CobraError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = TRAIN_SETTINGS[key][1]
+        default, kind, _ = TRAIN_SETTINGS[key]
+        value = value.strip()
+        if default is None and value == "None":  # as run.log records it
+            out[key] = None
+            continue
         try:
-            out[key] = kind(value.strip())
+            out[key] = kind(value)
         except ValueError:
             raise CobraError(
-                f"{path}:{lineno}: {key} expects {kind.__name__}, got {value.strip()!r}"
+                f"{path}:{lineno}: {key} expects {kind.__name__}, got {value!r}"
             ) from None
     return out
 

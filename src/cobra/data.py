@@ -97,14 +97,6 @@ class PairedDataset:
         )
 
 
-def one_hot(label: int, num_classes: int) -> np.ndarray:
-    if not 0 <= label < num_classes:
-        raise LabelError(f"label {label} outside [0, {num_classes})")
-    v = np.zeros(num_classes)
-    v[label] = 1.0
-    return v
-
-
 def write_feature_file(ds: FeatureDataset, path):
     lines = [f"COBRA-FEAT 1 {ds.modality} {ds.n} {ds.dim} {ds.num_classes}"]
     feats = ds.features.astype(np.float32)
@@ -184,22 +176,15 @@ def _read_feature_file(path: Path) -> FeatureDataset:
 
 
 def make_pairs(image_ds: FeatureDataset, text_ds: FeatureDataset) -> PairedDataset:
-    """Truncates both modalities to min(n_I, n_T) index-aligned pairs."""
-    if image_ds.num_classes != text_ds.num_classes:
-        raise PairingError(
-            f"class counts differ: {image_ds.num_classes} vs {text_ds.num_classes}"
-        )
+    """Truncates both modalities to min(n_I, n_T) index-aligned pairs;
+    PairedDataset checks the class counts and pair labels."""
     n = min(image_ds.n, text_ds.n)
-    mismatch = np.nonzero(image_ds.labels[:n] != text_ds.labels[:n])[0]
-    if mismatch.size:
-        raise PairingError(f"pair labels differ at index {int(mismatch[0])}")
-    idx = np.arange(n)
     return PairedDataset(
         image=FeatureDataset(
-            "image", image_ds.features[idx], image_ds.labels[idx], image_ds.num_classes
+            "image", image_ds.features[:n], image_ds.labels[:n], image_ds.num_classes
         ),
         text=FeatureDataset(
-            "text", text_ds.features[idx], text_ds.labels[idx], text_ds.num_classes
+            "text", text_ds.features[:n], text_ds.labels[:n], text_ds.num_classes
         ),
     )
 

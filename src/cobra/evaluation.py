@@ -61,14 +61,6 @@ class RetrievalReport:
         return lines
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u||v|); defined as 0 when either norm is zero."""
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def similarity_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities; zero-norm rows map to 0 similarity."""
     qn = np.linalg.norm(queries, axis=1, keepdims=True)
@@ -183,7 +175,10 @@ def mean_average_precision(
 
     map_at (at least 1) truncates each ranked list to its top k before
     scoring; queries with no relevant item in the (possibly truncated) list
-    follow the zero_relevant convention.
+    follow the zero_relevant convention. No command calls this:
+    retrieval_report scores paired sets. It stays as the one entry point for
+    a query set and a gallery that are not pairs, which is how the oracle
+    tests reach queries with no relevant item without map_at.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
@@ -236,7 +231,7 @@ def classification_accuracy(
         raise ConfigError(f"{labels.shape[0]} labels for {paired.n_pairs} pairs")
     o_image = embed_dataset(model, paired.image)
     o_text = embed_dataset(model, paired.text)
-    logits = model_mod.classify(head, o_text, o_image, mode="eval")
+    logits = model_mod.classify_cached(head, o_text, o_image, mode="eval").output
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

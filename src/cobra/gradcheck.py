@@ -12,7 +12,6 @@ import numpy as np
 
 from . import losses, model as model_mod
 from .losses import LossWeights
-from .model import LossGrads
 from .nn import Param, affine_backward, affine_forward, finite_diff_grad, max_rel_err
 from .training import TrainConfig, softmax_cross_entropy
 
@@ -28,6 +27,17 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.max_rel_err < THRESHOLD
+
+
+def _compare(name: str, analytic: dict, f, params, corrupt: str | None) -> CheckResult:
+    """Max relative error of `analytic` (param name -> gradient) against the
+    central difference of `f` over `params`; the gradient named `corrupt`, if
+    any, is broken first."""
+    if corrupt in analytic:
+        analytic[corrupt] = analytic[corrupt] + 1.0
+    numeric = finite_diff_grad(f, params, epsilon=EPSILON)
+    err = max(max_rel_err(analytic[n], numeric[n]) for n in numeric)
+    return CheckResult(name=name, max_rel_err=err)
 
 
 def _toy_setup(seed: int):
@@ -65,19 +75,10 @@ def _check_model_loss(
 
     cache, bd = breakdown()
     model_mod.backward_full(
-        model,
-        cache,
-        LossGrads(bd.d_o_image, bd.d_o_text, bd.d_xhat_image, bd.d_xhat_text),
+        model, cache, bd.d_o_image, bd.d_o_text, bd.d_xhat_image, bd.d_xhat_text
     )
     analytic = {p.name: p.grad.copy() for p in model.params()}
-    if corrupt is not None and corrupt in analytic:
-        analytic[corrupt] = analytic[corrupt] + 1.0
-
-    numeric = finite_diff_grad(
-        lambda: breakdown()[1].total, model.params(), epsilon=EPSILON
-    )
-    err = max(max_rel_err(analytic[n], numeric[n]) for n in numeric)
-    return CheckResult(name=name, max_rel_err=err)
+    return _compare(name, analytic, lambda: breakdown()[1].total, model.params(), corrupt)
 
 
 def _check_literal_contrastive(
@@ -93,16 +94,14 @@ def _check_literal_contrastive(
 
     def loss():
         if contrastive_variant == "setform":
-            return losses.contrastive_loss_setform(sets, o_i.value, o_t.value, "literal")[:3]
-        return losses.nce_loss(sets, o_i.value, o_t.value, form="literal")
+            return losses.contrastive_loss_setform(
+                sets, o_i.value, o_t.value, score_mode="literal", temperature=1.0
+            )[:3]
+        return losses.nce_loss(sets, o_i.value, o_t.value, form="literal", temperature=1.0)
 
     _, g_i, g_t = loss()
     analytic = {"o_image": g_i, "o_text": g_t}
-    if corrupt is not None and corrupt in analytic:
-        analytic[corrupt] = analytic[corrupt] + 1.0
-    numeric = finite_diff_grad(lambda: loss()[0], [o_i, o_t], epsilon=EPSILON)
-    err = max(max_rel_err(analytic[n], numeric[n]) for n in numeric)
-    return CheckResult(name=name, max_rel_err=err)
+    return _compare(name, analytic, lambda: loss()[0], [o_i, o_t], corrupt)
 
 
 def _check_affine(seed: int) -> CheckResult:
@@ -113,14 +112,13 @@ def _check_affine(seed: int) -> CheckResult:
     upstream = rng.normal(size=(4, 3))
 
     _, gw, gb = affine_backward(x, w.value, upstream)
-    analytic = {"affine.w": gw, "affine.b": gb}
-    numeric = finite_diff_grad(
+    return _compare(
+        "layer_affine",
+        {"affine.w": gw, "affine.b": gb},
         lambda: float(np.sum(affine_forward(x, w.value, b.value) * upstream)),
         [w, b],
-        epsilon=EPSILON,
+        None,
     )
-    err = max(max_rel_err(analytic[n], numeric[n]) for n in numeric)
-    return CheckResult(name="layer_affine", max_rel_err=err)
 
 
 def _check_head(seed: int, corrupt: str | None) -> CheckResult:
@@ -142,11 +140,9 @@ def _check_head(seed: int, corrupt: str | None) -> CheckResult:
     hc = model_mod.classify_cached(head, o_t, o_i, mode="eval")
     model_mod.classify_backward(head, hc, d_logits)
     analytic = {p.name: p.grad.copy() for p in head.params()}
-    if corrupt is not None and corrupt in analytic:
-        analytic[corrupt] = analytic[corrupt] + 1.0
-    numeric = finite_diff_grad(lambda: loss()[0], head.params(), epsilon=EPSILON)
-    err = max(max_rel_err(analytic[n], numeric[n]) for n in numeric)
-    return CheckResult(name="classifier_cross_entropy", max_rel_err=err)
+    return _compare(
+        "classifier_cross_entropy", analytic, lambda: loss()[0], head.params(), corrupt
+    )
 
 
 def run_gradcheck(seed: int = 0, corrupt: str | None = None) -> list[CheckResult]:

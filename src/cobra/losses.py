@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, LabelError, NumericError, PairingError, ShapeError
+from .errors import ConfigError, LabelError, PairingError, ShapeError
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -76,18 +76,6 @@ class ContrastiveSets:
 
 
 @dataclass
-class NoiseModel:
-    n_noise: int
-    noise_density: float
-
-    def __post_init__(self):
-        if self.n_noise < 1:
-            raise ConfigError(f"n_noise must be >= 1, got {self.n_noise}")
-        if self.noise_density <= 0:
-            raise ConfigError(f"noise_density must be positive, got {self.noise_density}")
-
-
-@dataclass
 class LossBreakdown:
     l_r: float = 0.0
     l_m: float = 0.0
@@ -107,7 +95,7 @@ def _scale(reduction: str, n: int) -> float:
     return 1.0 / n if reduction == "mean" else 1.0
 
 
-def recon_loss(x_hat_image, x_image, x_hat_text, x_text, reduction="sum"):
+def recon_loss(x_hat_image, x_image, x_hat_text, x_text, *, reduction: str):
     """Sum of squared reconstruction errors over both modalities.
 
     Returns (value, grad_xhat_image, grad_xhat_text).
@@ -124,7 +112,7 @@ def recon_loss(x_hat_image, x_image, x_hat_text, x_text, reduction="sum"):
     return value, 2.0 * s * r_i, 2.0 * s * r_t
 
 
-def cross_modal_loss(o_text, o_image, reduction="sum"):
+def cross_modal_loss(o_text, o_image, *, reduction: str):
     """Squared distance between index-aligned joint projections.
 
     Returns (value, grad_o_text, grad_o_image).
@@ -139,7 +127,7 @@ def cross_modal_loss(o_text, o_image, reduction="sum"):
     return s * float(np.sum(r * r)), 2.0 * s * r, -2.0 * s * r
 
 
-def supervised_loss(o, labels, num_classes, reduction="sum"):
+def supervised_loss(o, labels, num_classes, *, reduction: str):
     """Squared distance from each projection to its one-hot label.
 
     Returns (value, grad_o). Call once per modality and sum.
@@ -252,8 +240,9 @@ def contrastive_loss_setform(
     sets: ContrastiveSets,
     o_image,
     o_text,
-    score_mode: str = "exp",
-    temperature: float = 1.0,
+    *,
+    score_mode: str,
+    temperature: float,
 ):
     """Set-based contrastive loss, mean over sets.
 
@@ -288,20 +277,13 @@ def contrastive_loss_setform(
     return _in_batch(sets, o_image, o_text, block_loss)
 
 
-def nce_posterior(score_joint: float, noise: NoiseModel) -> float:
-    """Probability that a sample came from the joint rather than the noise
-    distribution: p_J / (p_J + N * p_N)."""
-    if score_joint <= 0:
-        raise NumericError(f"joint density must be positive, got {score_joint}")
-    return score_joint / (score_joint + noise.n_noise * noise.noise_density)
-
-
 def nce_loss(
     sets: ContrastiveSets,
     o_image,
     o_text,
-    form: str = "log",
-    temperature: float = 1.0,
+    *,
+    form: str,
+    temperature: float,
 ):
     """NCE objective over the drawn sets, mean over anchors.
 
@@ -359,18 +341,20 @@ def total_loss(
         d_xhat_text=np.zeros_like(txt.x_hat),
     )
 
-    bd.l_r, g_xi, g_xt = recon_loss(img.x_hat, img.x, txt.x_hat, txt.x, reduction)
+    bd.l_r, g_xi, g_xt = recon_loss(
+        img.x_hat, img.x, txt.x_hat, txt.x, reduction=reduction
+    )
     bd.d_xhat_image += weights.lambda_r * g_xi
     bd.d_xhat_text += weights.lambda_r * g_xt
 
     if weights.lambda_m > 0:
-        bd.l_m, g_ot, g_oi = cross_modal_loss(txt.o, img.o, reduction)
+        bd.l_m, g_ot, g_oi = cross_modal_loss(txt.o, img.o, reduction=reduction)
         bd.d_o_text += weights.lambda_m * g_ot
         bd.d_o_image += weights.lambda_m * g_oi
 
     c = img.o.shape[1]
-    l_s_i, g_si = supervised_loss(img.o, labels_image, c, reduction)
-    l_s_t, g_st = supervised_loss(txt.o, labels_text, c, reduction)
+    l_s_i, g_si = supervised_loss(img.o, labels_image, c, reduction=reduction)
+    l_s_t, g_st = supervised_loss(txt.o, labels_text, c, reduction=reduction)
     bd.l_s = l_s_i + l_s_t
     bd.d_o_image += weights.lambda_s * g_si
     bd.d_o_text += weights.lambda_s * g_st
@@ -382,7 +366,7 @@ def total_loss(
         )
         if cfg.contrastive_variant == "setform":
             bd.l_c, g_ci, g_ct, bd.clamped_scores = contrastive_loss_setform(
-                sets, img.o, txt.o, cfg.score_mode, cfg.temperature
+                sets, img.o, txt.o, score_mode=cfg.score_mode, temperature=cfg.temperature
             )
         else:
             bd.l_c, g_ci, g_ct = nce_loss(

@@ -7,8 +7,10 @@ Projection: FC(512, Z) identity, one head per modality
 Classifier: Concat -> FC(2Z, 512) ReLU Drop(.5) -> FC(512, 128) ReLU Drop(.5)
             -> FC(128, 64) ReLU Drop(.2) -> FC(64, C_task)
 
-The joint dimension Z equals the class count C: the supervised objective
-regresses projections onto one-hot labels, which fixes the width.
+In every MLP a ReLU (and the head's dropout) follows every layer but the
+last, which is linear. The joint dimension Z equals the class count C: the
+supervised objective regresses projections onto one-hot labels, which fixes
+the width. Every width is read from the weights.
 """
 
 from __future__ import annotations
@@ -18,15 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .errors import CobraError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .nn import Param
 
 LATENT_DIM = 512
 HIDDEN_DIM = 1024
-
-
-class ContractError(CobraError, ValueError):
-    """A required gradient component or cache entry is missing."""
 
 
 Layer = tuple[Param, Param]  # (weight, bias)
@@ -35,10 +33,13 @@ Layer = tuple[Param, Param]  # (weight, bias)
 @dataclass
 class ModalityPipeline:
     modality: str  # "image" | "text"
-    input_dim: int
     encoder: list[Layer]
     decoder: list[Layer]
     projection: list[Layer]  # single affine layer
+
+    @property
+    def input_dim(self) -> int:
+        return self.encoder[0][0].value.shape[0]
 
     @property
     def latent_dim(self) -> int:
@@ -55,8 +56,10 @@ class ModalityPipeline:
 class CobraModel:
     image: ModalityPipeline
     text: ModalityPipeline
-    joint_dim: int
-    num_classes: int
+
+    @property
+    def joint_dim(self) -> int:
+        return self.image.projection[0][0].value.shape[1]
 
     def pipeline(self, modality: str) -> ModalityPipeline:
         if modality == "image":
@@ -120,34 +123,22 @@ class ForwardCache:
     text: PipelineCache
 
 
-@dataclass
-class LossGrads:
-    """Upstream gradients entering backward_full; d_z flows through both the
-    decoder and projection branches internally and is summed."""
-
-    d_o_image: np.ndarray
-    d_o_text: np.ndarray
-    d_xhat_image: np.ndarray
-    d_xhat_text: np.ndarray
-
-
 def _mlp_forward(
     x: np.ndarray,
     layers: list[Layer],
-    relu_until: int,
     dropout_p: tuple[float, ...] = (),
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> MlpCache:
-    """Forward through affine layers; ReLU (and optional dropout) after the
-    first `relu_until` layers, identity on the rest."""
+    """Forward through affine layers; ReLU (and optional dropout) after every
+    layer but the last."""
     inputs, pres, masks = [], [], []
     h = x
     for i, (w, b) in enumerate(layers):
         inputs.append(h)
         pre = nn.affine_forward(h, w.value, b.value)
         pres.append(pre)
-        if i < relu_until:
+        if i < len(layers) - 1:
             h = nn.relu(pre)
             if i < len(dropout_p) and dropout_p[i] > 0.0:
                 h, mask = nn.dropout(h, dropout_p[i], mode, rng)
@@ -160,14 +151,12 @@ def _mlp_forward(
     return MlpCache(inputs=inputs, pres=pres, output=h, masks=masks)
 
 
-def _mlp_backward(
-    cache: MlpCache, layers: list[Layer], relu_until: int, d_out: np.ndarray
-) -> np.ndarray:
+def _mlp_backward(cache: MlpCache, layers: list[Layer], d_out: np.ndarray) -> np.ndarray:
     """Accumulates param grads, returns gradient w.r.t. the MLP input."""
     d = d_out
     for i in range(len(layers) - 1, -1, -1):
         w, b = layers[i]
-        if i < relu_until:
+        if i < len(layers) - 1:
             if cache.masks[i] is not None:
                 d = d * cache.masks[i]
             d = nn.relu_backward(cache.pres[i], d)
@@ -183,32 +172,14 @@ def encode(pipeline: ModalityPipeline, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"{pipeline.modality} encode: input width {x.shape[1]} != {pipeline.input_dim}"
         )
-    return _mlp_forward(x, pipeline.encoder, relu_until=2).output
-
-
-def decode(pipeline: ModalityPipeline, z: np.ndarray) -> np.ndarray:
-    """Reconstruction x_hat = g(z); batch x 512 -> batch x d_j."""
-    if z.shape[1] != pipeline.latent_dim:
-        raise ShapeError(f"decode: latent width {z.shape[1]} != {pipeline.latent_dim}")
-    return _mlp_forward(z, pipeline.decoder, relu_until=2).output
+    return _mlp_forward(x, pipeline.encoder).output
 
 
 def project(pipeline: ModalityPipeline, z: np.ndarray) -> np.ndarray:
     """Joint-space projection O = z @ W + b; batch x 512 -> batch x Z."""
     if z.shape[1] != pipeline.latent_dim:
         raise ShapeError(f"project: latent width {z.shape[1]} != {pipeline.latent_dim}")
-    return _mlp_forward(z, pipeline.projection, relu_until=0).output
-
-
-def classify(
-    head: ClassifierHead,
-    o_text: np.ndarray,
-    o_image: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Fusion-classifier logits from the two joint embeddings."""
-    return classify_cached(head, o_text, o_image, mode, rng).output
+    return _mlp_forward(z, pipeline.projection).output
 
 
 def classify_cached(
@@ -218,6 +189,7 @@ def classify_cached(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> MlpCache:
+    """The fusion head's forward pass; its `output` holds the logits."""
     if o_text.shape[0] != o_image.shape[0]:
         raise ShapeError(
             f"classify: row counts differ ({o_text.shape[0]} text vs "
@@ -228,14 +200,12 @@ def classify_cached(
         raise ShapeError(
             f"classify: concat width {x.shape[1]} != head input {head.input_dim}"
         )
-    return _mlp_forward(
-        x, head.layers, relu_until=3, dropout_p=head.dropout_p, mode=mode, rng=rng
-    )
+    return _mlp_forward(x, head.layers, dropout_p=head.dropout_p, mode=mode, rng=rng)
 
 
 def classify_backward(head: ClassifierHead, cache: MlpCache, d_logits: np.ndarray):
     """Accumulates head grads; returns (d_o_text, d_o_image)."""
-    d_x = _mlp_backward(cache, head.layers, relu_until=3, d_out=d_logits)
+    d_x = _mlp_backward(cache, head.layers, d_logits)
     z = d_x.shape[1] // 2
     return d_x[:, :z], d_x[:, z:]
 
@@ -250,10 +220,10 @@ def forward_full(
             raise ShapeError(
                 f"{pipeline.modality} input width {x.shape[1]} != {pipeline.input_dim}"
             )
-        enc = _mlp_forward(x, pipeline.encoder, relu_until=2)
+        enc = _mlp_forward(x, pipeline.encoder)
         z = enc.output
-        proj = _mlp_forward(z, pipeline.projection, relu_until=0)
-        dec = _mlp_forward(z, pipeline.decoder, relu_until=2)
+        proj = _mlp_forward(z, pipeline.projection)
+        dec = _mlp_forward(z, pipeline.decoder)
         return PipelineCache(
             x=x, enc=enc, z=z, proj=proj, o=proj.output, dec=dec, x_hat=dec.output
         )
@@ -266,27 +236,27 @@ def zero_grads(model: CobraModel):
         p.zero_grad()
 
 
-def backward_full(model: CobraModel, cache: ForwardCache, grads: LossGrads):
-    """Populates every pipeline Param.grad from the loss gradients.
+def backward_full(
+    model: CobraModel, cache: ForwardCache, d_o_image, d_o_text, d_xhat_image, d_xhat_text
+):
+    """Populates every pipeline Param.grad from the loss gradients w.r.t. the
+    joint projections (d_o_*) and reconstructions (d_xhat_*).
 
     Grads are zeroed first; d_z sums the decoder and projection branches.
     """
-    for name in ("d_o_image", "d_o_text", "d_xhat_image", "d_xhat_text"):
-        if getattr(grads, name) is None:
-            raise ContractError(f"backward_full: missing gradient component {name}")
     zero_grads(model)
     for pipeline, pc, d_o, d_xhat in (
-        (model.image, cache.image, grads.d_o_image, grads.d_xhat_image),
-        (model.text, cache.text, grads.d_o_text, grads.d_xhat_text),
+        (model.image, cache.image, d_o_image, d_xhat_image),
+        (model.text, cache.text, d_o_text, d_xhat_text),
     ):
         if d_o.shape != pc.o.shape or d_xhat.shape != pc.x_hat.shape:
             raise ShapeError(
                 f"{pipeline.modality} backward: grad shapes {d_o.shape}/{d_xhat.shape} "
                 f"!= forward shapes {pc.o.shape}/{pc.x_hat.shape}"
             )
-        d_z = _mlp_backward(pc.proj, pipeline.projection, relu_until=0, d_out=d_o)
-        d_z = d_z + _mlp_backward(pc.dec, pipeline.decoder, relu_until=2, d_out=d_xhat)
-        _mlp_backward(pc.enc, pipeline.encoder, relu_until=2, d_out=d_z)
+        d_z = _mlp_backward(pc.proj, pipeline.projection, d_o)
+        d_z = d_z + _mlp_backward(pc.dec, pipeline.decoder, d_xhat)
+        _mlp_backward(pc.enc, pipeline.encoder, d_z)
 
 
 def _init_layers(
@@ -323,14 +293,9 @@ def init_model(
         enc = _init_layers(f"{modality}.enc", [d, hidden_dim, hidden_dim, latent_dim], rng, dtype)
         dec = _init_layers(f"{modality}.dec", [latent_dim, hidden_dim, hidden_dim, d], rng, dtype)
         proj = _init_layers(f"{modality}.proj", [latent_dim, num_classes], rng, dtype)
-        return ModalityPipeline(modality, d, enc, dec, proj)
+        return ModalityPipeline(modality, enc, dec, proj)
 
-    return CobraModel(
-        image=build("image", d_image),
-        text=build("text", d_text),
-        joint_dim=num_classes,
-        num_classes=num_classes,
-    )
+    return CobraModel(build("image", d_image), build("text", d_text))
 
 
 def init_head(
@@ -351,6 +316,4 @@ def init_head(
 
 def _init_stream(seed: int) -> np.random.Generator:
     """The dedicated init stream for a seed (stream 0 of RngStreams)."""
-    from .nn import RngStreams
-
-    return RngStreams(seed).get("init")
+    return nn.RngStreams(seed).get("init")

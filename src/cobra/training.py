@@ -20,7 +20,7 @@ from .checkpoint import save_checkpoint
 from .data import PairedDataset
 from .errors import ConfigError, NumericError
 from .losses import LossBreakdown, LossWeights, check_choice
-from .model import ClassifierHead, CobraModel, LossGrads
+from .model import ClassifierHead, CobraModel
 from .nn import RngStreams, sgd_step
 
 
@@ -146,13 +146,9 @@ def train_step(state: TrainState, minibatch) -> LossBreakdown:
             f"non-finite total loss at epoch {state.epoch} "
             f"(l_r={bd.l_r} l_m={bd.l_m} l_s={bd.l_s} l_c={bd.l_c})"
         )
-    grads = LossGrads(
-        d_o_image=bd.d_o_image.astype(dtype),
-        d_o_text=bd.d_o_text.astype(dtype),
-        d_xhat_image=bd.d_xhat_image.astype(dtype),
-        d_xhat_text=bd.d_xhat_text.astype(dtype),
+    model_mod.backward_full(
+        state.model, cache, bd.d_o_image, bd.d_o_text, bd.d_xhat_image, bd.d_xhat_text
     )
-    model_mod.backward_full(state.model, cache, grads)
     sgd_step(state.model.params(), cfg.eta)
     return bd
 
@@ -335,6 +331,6 @@ def train_classifier(
             _, d_logits = softmax_cross_entropy(hc.output, labels[idx])
             for p in head.params():
                 p.zero_grad()
-            model_mod.classify_backward(head, hc, d_logits.astype(dtype))
+            model_mod.classify_backward(head, hc, d_logits)
             sgd_step(head.params(), cfg.eta)
     return head

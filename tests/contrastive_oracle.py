@@ -3,6 +3,10 @@ losses: the reference the vectorised code in ``cobra.losses`` is tested
 against. Sets here are lists of ``ContrastiveSet`` whose rows are
 ``(modality, index)`` references; ``as_refs`` converts the vectorised
 sampler's stacked-row index arrays to that form.
+
+``NoiseModel`` and ``nce_posterior`` state the NCE posterior
+p_J / (p_J + N * p_N) of one sample; the loop ``nce_loss`` takes its noise
+model from them, and the acceptance tests check their closed forms.
 """
 
 from __future__ import annotations
@@ -11,10 +15,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cobra.errors import ConfigError
-from cobra.losses import CLAMP_FLOOR, NoiseModel
+from cobra.errors import ConfigError, NumericError
+from cobra.losses import CLAMP_FLOOR
 
 Ref = tuple[str, int]  # (modality, row index within that modality's batch)
+
+
+@dataclass
+class NoiseModel:
+    n_noise: int
+    noise_density: float
+
+    def __post_init__(self):
+        if self.n_noise < 1:
+            raise ConfigError(f"n_noise must be >= 1, got {self.n_noise}")
+        if self.noise_density <= 0:
+            raise ConfigError(f"noise_density must be positive, got {self.noise_density}")
+
+
+def nce_posterior(score_joint: float, noise: NoiseModel) -> float:
+    """Probability that a sample came from the joint rather than the noise
+    distribution: p_J / (p_J + N * p_N)."""
+    if score_joint <= 0:
+        raise NumericError(f"joint density must be positive, got {score_joint}")
+    return score_joint / (score_joint + noise.n_noise * noise.noise_density)
 
 
 @dataclass

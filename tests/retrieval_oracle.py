@@ -5,6 +5,8 @@ Production ranks queries in blocks with a fast argsort and repairs the order
 of only the rows with equal scores. This module keeps the original loop, one stable
 argsort and one AP per query, with its own copies of the ranking and AP
 conventions, so a fault in the production versions cannot hide here too.
+``cosine_similarity`` scores one query/gallery pair, the brute-force check of
+``evaluation.similarity_matrix``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from cobra import evaluation
+
+
+def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
+    """u.v / (|u||v|); defined as 0 when either norm is zero."""
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
 
 
 def rank_gallery(sims: np.ndarray) -> np.ndarray:

@@ -239,8 +239,7 @@ def test_parsers_total_on_mutated_checkpoints(version, edits, cut, tmp_path_fact
 
 def test_load_rejects_missing_tensor(tmp_path):
     m = tiny_model()
-    tensors = checkpoint._pipeline_tensors(m.image)
-    tensors.update(checkpoint._pipeline_tensors(m.text))
+    tensors = {p.name: p.value for p in m.params()}
     del tensors["text.dec1.b"]
     p = tmp_path / "m.ckpt"
     checkpoint.write_tensors(p, tensors)
@@ -250,8 +249,7 @@ def test_load_rejects_missing_tensor(tmp_path):
 
 def test_load_rejects_extra_tensor(tmp_path):
     m = tiny_model()
-    tensors = checkpoint._pipeline_tensors(m.image)
-    tensors.update(checkpoint._pipeline_tensors(m.text))
+    tensors = {p.name: p.value for p in m.params()}
     tensors["rogue"] = np.ones((1, 1))
     p = tmp_path / "m.ckpt"
     checkpoint.write_tensors(p, tensors)

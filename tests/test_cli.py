@@ -251,6 +251,10 @@ def _flags(command: str) -> dict:
     return {a.dest: a.option_strings for a in sub.choices[command]._actions if a.option_strings}
 
 
+def _logged_config(out) -> list[str]:
+    return [l for l in (out / "run.log").read_text().splitlines() if l.startswith("config ")]
+
+
 def test_train_settings_have_one_source(dataset, tmp_path, capsys, monkeypatch):
     """The train flags, the config-file keys, the run.log config keys and the
     TrainConfig + LossWeights fields (two of them renamed) are one set."""
@@ -260,7 +264,7 @@ def test_train_settings_have_one_source(dataset, tmp_path, capsys, monkeypatch):
         capsys, "train", "--manifest", str(dataset / "train.manifest"), "--out", str(out)
     )
     assert code == 0
-    logged = [l for l in (out / "run.log").read_text().splitlines() if l.startswith("config ")]
+    logged = _logged_config(out)
     assert logged == DEFAULT_CONFIG_LINES
     log_keys = {l[len("config "):].split("=")[0] for l in logged}
 
@@ -275,12 +279,30 @@ def test_train_settings_have_one_source(dataset, tmp_path, capsys, monkeypatch):
     assert all(opts == ["--" + key.replace("_", "-")] for key, opts in flags.items())
 
     cfg = tmp_path / "all.cfg"
-    cfg.write_text("".join(l[len("config "):] + "\n" for l in logged).replace("=None", "=3"))
+    cfg.write_text("".join(l[len("config "):] + "\n" for l in logged))
     config_keys = set(cli.read_config_file(cfg))
     assert config_keys == set(cli.TRAIN_SETTINGS)
 
     assert set(flags) == config_keys == log_keys == fields
     assert len(fields) == 17
+
+
+def test_run_log_config_lines_replay_as_config_file(dataset, tmp_path, capsys, monkeypatch):
+    """The config lines of a default run, fed back through --config, give the
+    same config lines (iters_per_epoch=None included)."""
+    monkeypatch.setattr(cli.training, "train", lambda *args, **kwargs: None)
+    first, second = tmp_path / "first", tmp_path / "second"
+    manifest = str(dataset / "train.manifest")
+    assert run_cli(capsys, "train", "--manifest", manifest, "--out", str(first))[0] == 0
+    logged = _logged_config(first)
+    assert "config iters_per_epoch=None" in logged
+    cfg = tmp_path / "replay.cfg"
+    cfg.write_text("".join(l[len("config "):] + "\n" for l in logged))
+    code, _, err = run_cli(
+        capsys, "train", "--manifest", manifest, "--out", str(second), "--config", str(cfg)
+    )
+    assert code == 0, err
+    assert _logged_config(second) == logged
 
 
 def test_synth_flags_are_synthetic_spec_fields():

@@ -9,17 +9,6 @@ from cobra.errors import ConfigError, FormatError, LabelError, PairingError
 from conftest import tiny_paired
 
 
-def test_one_hot_basic():
-    assert data.one_hot(1, 3).tolist() == [0.0, 1.0, 0.0]
-
-
-def test_one_hot_rejects_out_of_range():
-    with pytest.raises(LabelError):
-        data.one_hot(3, 3)
-    with pytest.raises(LabelError):
-        data.one_hot(-1, 3)
-
-
 def test_feature_dataset_validation():
     with pytest.raises(ConfigError):
         data.FeatureDataset("audio", np.zeros((1, 1)), [0], 1)

@@ -13,23 +13,23 @@ from conftest import tiny_model, tiny_paired
 
 
 def test_cosine_orthogonal_zero():
-    assert evaluation.cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert retrieval_oracle.cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
 
 def test_cosine_parallel_one():
-    assert evaluation.cosine_similarity(
+    assert retrieval_oracle.cosine_similarity(
         np.array([2.0, 0.0]), np.array([5.0, 0.0])
     ) == pytest.approx(1.0)
 
 
 def test_cosine_antiparallel_minus_one():
-    assert evaluation.cosine_similarity(
+    assert retrieval_oracle.cosine_similarity(
         np.array([1.0, 1.0]), np.array([-2.0, -2.0])
     ) == pytest.approx(-1.0)
 
 
 def test_cosine_zero_vector_defined_as_zero():
-    assert evaluation.cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
+    assert retrieval_oracle.cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
 
 
 def test_similarity_matrix_matches_pairwise_cosine():
@@ -39,7 +39,7 @@ def test_similarity_matrix_matches_pairwise_cosine():
     for i in range(4):
         for j in range(5):
             assert sims[i, j] == pytest.approx(
-                evaluation.cosine_similarity(q[i], g[j]), abs=1e-12
+                retrieval_oracle.cosine_similarity(q[i], g[j]), abs=1e-12
             )
 
 
@@ -137,7 +137,7 @@ def brute_force_map(q_emb, g_emb, q_labels, g_labels):
     for i in range(q_emb.shape[0]):
         scored = []
         for j in range(g_emb.shape[0]):
-            scored.append((evaluation.cosine_similarity(q_emb[i], g_emb[j]), j))
+            scored.append((retrieval_oracle.cosine_similarity(q_emb[i], g_emb[j]), j))
         scored.sort(key=lambda t: (-t[0], t[1]))
         hits = 0
         precisions = []

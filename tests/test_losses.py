@@ -12,11 +12,9 @@ from cobra.errors import ConfigError, NumericError, PairingError, ShapeError
 from cobra.losses import (
     ContrastiveSets,
     LossWeights,
-    NoiseModel,
     contrastive_loss_setform,
     cross_modal_loss,
     nce_loss,
-    nce_posterior,
     recon_loss,
     sample_contrastive_sets,
     supervised_loss,
@@ -26,6 +24,7 @@ from cobra.training import TrainConfig
 
 import contrastive_oracle as oracle
 from conftest import tiny_model
+from contrastive_oracle import NoiseModel, nce_posterior
 
 
 # ---------------------------------------------------------------- recon
@@ -34,7 +33,7 @@ from conftest import tiny_model
 def test_recon_zero_on_perfect_reconstruction():
     x_i = np.random.default_rng(0).normal(size=(3, 4))
     x_t = np.random.default_rng(1).normal(size=(3, 2))
-    value, g_i, g_t = recon_loss(x_i, x_i, x_t, x_t)
+    value, g_i, g_t = recon_loss(x_i, x_i, x_t, x_t, reduction="sum")
     assert value == 0.0
     assert not g_i.any() and not g_t.any()
 
@@ -60,7 +59,9 @@ def test_recon_mean_scales_by_total_rows():
 
 def test_recon_shape_mismatch():
     with pytest.raises(ShapeError):
-        recon_loss(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((1, 1)), np.zeros((1, 1)))
+        recon_loss(
+            np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((1, 1)), np.zeros((1, 1)), reduction="sum"
+        )
 
 
 def test_recon_grad_matches_finite_diff():
@@ -86,7 +87,7 @@ def test_recon_grad_matches_finite_diff():
 
 def test_cross_modal_zero_when_aligned():
     o = np.random.default_rng(4).normal(size=(3, 3))
-    value, g_t, g_i = cross_modal_loss(o, o.copy())
+    value, g_t, g_i = cross_modal_loss(o, o.copy(), reduction="sum")
     assert value == 0.0 and not g_t.any() and not g_i.any()
 
 
@@ -102,19 +103,21 @@ def test_cross_modal_hand_value():
 def test_cross_modal_symmetric_in_arguments():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    assert cross_modal_loss(a, b)[0] == pytest.approx(cross_modal_loss(b, a)[0])
+    assert cross_modal_loss(a, b, reduction="sum")[0] == pytest.approx(
+        cross_modal_loss(b, a, reduction="sum")[0]
+    )
 
 
 def test_cross_modal_grads_opposite():
     rng = np.random.default_rng(6)
     a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    _, g_t, g_i = cross_modal_loss(a, b)
+    _, g_t, g_i = cross_modal_loss(a, b, reduction="sum")
     assert np.allclose(g_t, -g_i)
 
 
 def test_cross_modal_rejects_unpaired_shapes():
     with pytest.raises(PairingError):
-        cross_modal_loss(np.zeros((3, 2)), np.zeros((4, 2)))
+        cross_modal_loss(np.zeros((3, 2)), np.zeros((4, 2)), reduction="sum")
 
 
 # ---------------------------------------------------------------- supervised
@@ -122,7 +125,7 @@ def test_cross_modal_rejects_unpaired_shapes():
 
 def test_supervised_zero_on_exact_one_hot():
     o = np.eye(3)
-    value, g = supervised_loss(o, [0, 1, 2], 3)
+    value, g = supervised_loss(o, [0, 1, 2], 3, reduction="sum")
     assert value == 0.0 and not g.any()
 
 
@@ -137,14 +140,14 @@ def test_supervised_rejects_bad_labels():
     from cobra.errors import LabelError
 
     with pytest.raises(LabelError):
-        supervised_loss(np.zeros((2, 3)), [0, 3], 3)
+        supervised_loss(np.zeros((2, 3)), [0, 3], 3, reduction="sum")
     with pytest.raises(LabelError):
-        supervised_loss(np.zeros((1, 3)), [-1], 3)
+        supervised_loss(np.zeros((1, 3)), [-1], 3, reduction="sum")
 
 
 def test_supervised_rejects_width_mismatch():
     with pytest.raises(ConfigError):
-        supervised_loss(np.zeros((2, 4)), [0, 1], 3)
+        supervised_loss(np.zeros((2, 4)), [0, 1], 3, reduction="sum")
 
 
 # ---------------------------------------------------------------- sampling
@@ -250,19 +253,23 @@ def _uniform_sets_case(n_neg):
 @pytest.mark.parametrize("n_neg", [1, 5, 10])
 def test_setform_uniform_scores_give_log_n_plus_one(n_neg):
     sets, o_i, o_t = _uniform_sets_case(n_neg)
-    value, *_ = contrastive_loss_setform(sets, o_i, o_t, score_mode="exp")
+    value, *_ = contrastive_loss_setform(sets, o_i, o_t, score_mode="exp", temperature=1.0)
     assert value == pytest.approx(math.log(n_neg + 1), abs=1e-10)
 
 
 def test_setform_literal_uniform_scores_same_identity():
     sets, o_i, o_t = _uniform_sets_case(4)
-    value, _, _, clamped = contrastive_loss_setform(sets, o_i, o_t, score_mode="literal")
+    value, _, _, clamped = contrastive_loss_setform(
+        sets, o_i, o_t, score_mode="literal", temperature=1.0
+    )
     assert value == pytest.approx(math.log(5), abs=1e-10)
     assert clamped == 0
 
 
 def test_setform_empty_sets_zero():
-    value, g_i, g_t, clamped = contrastive_loss_setform([], np.ones((2, 3)), np.ones((2, 3)))
+    value, g_i, g_t, clamped = contrastive_loss_setform(
+        [], np.ones((2, 3)), np.ones((2, 3)), score_mode="exp", temperature=1.0
+    )
     assert value == 0.0 and not g_i.any() and not g_t.any() and clamped == 0
 
 
@@ -270,24 +277,34 @@ def test_setform_literal_counts_clamped_scores():
     o_i = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     cs = _one_set(0, 2, [1])
     # positive dot = 0 (clamped), negative dot = -1 (clamped)
-    _, _, _, clamped = contrastive_loss_setform(cs, o_i, np.ones((1, 2)), "literal")
+    _, _, _, clamped = contrastive_loss_setform(
+        cs, o_i, np.ones((1, 2)), score_mode="literal", temperature=1.0
+    )
     assert clamped == 2
 
 
 def test_setform_lower_when_positive_dominates():
     o_i = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
     cs = _one_set(0, 1, [2])
-    good, *_ = contrastive_loss_setform(cs, o_i, np.ones((1, 2)))
+    good, *_ = contrastive_loss_setform(
+        cs, o_i, np.ones((1, 2)), score_mode="exp", temperature=1.0
+    )
     bad_cs = _one_set(0, 2, [1])
-    bad, *_ = contrastive_loss_setform(bad_cs, o_i, np.ones((1, 2)))
+    bad, *_ = contrastive_loss_setform(
+        bad_cs, o_i, np.ones((1, 2)), score_mode="exp", temperature=1.0
+    )
     assert good < math.log(2) < bad
 
 
 def test_setform_temperature_validation():
     with pytest.raises(ConfigError):
-        contrastive_loss_setform([], np.ones((1, 1)), np.ones((1, 1)), temperature=0.0)
+        contrastive_loss_setform(
+            [], np.ones((1, 1)), np.ones((1, 1)), score_mode="exp", temperature=0.0
+        )
     with pytest.raises(ConfigError):
-        contrastive_loss_setform([], np.ones((1, 1)), np.ones((1, 1)), score_mode="bogus")
+        contrastive_loss_setform(
+            [], np.ones((1, 1)), np.ones((1, 1)), score_mode="bogus", temperature=1.0
+        )
 
 
 # ---------------------------------------------------------------- nce
@@ -316,7 +333,7 @@ def test_nce_loss_uniform_embeddings_closed_form():
     o_i = np.ones((n_neg + 2, 4))
     o_t = np.ones((1, 4))
     cs = _one_set(0, 1, [2 + k for k in range(n_neg)])
-    value, g_i, g_t = nce_loss(cs, o_i, o_t, form="log")
+    value, g_i, g_t = nce_loss(cs, o_i, o_t, form="log", temperature=1.0)
     h = 1.0 / (1 + n_neg)
     expected = -math.log(h) - n_neg * math.log(1 - h)
     assert value == pytest.approx(expected, abs=1e-10)
@@ -327,19 +344,19 @@ def test_nce_literal_uniform_embeddings_closed_form():
     o_i = np.ones((n_neg + 2, 4))
     o_t = np.ones((1, 4))
     cs = _one_set(0, 1, [2 + k for k in range(n_neg)])
-    value, *_ = nce_loss(cs, o_i, o_t, form="literal")
+    value, *_ = nce_loss(cs, o_i, o_t, form="literal", temperature=1.0)
     h = 1.0 / (1 + n_neg)
     assert value == pytest.approx(-h - n_neg * (1 - h), abs=1e-10)
 
 
 def test_nce_empty_sets_zero():
-    value, g_i, g_t = nce_loss([], np.ones((2, 2)), np.ones((2, 2)))
+    value, g_i, g_t = nce_loss([], np.ones((2, 2)), np.ones((2, 2)), form="log", temperature=1.0)
     assert value == 0.0 and not g_i.any() and not g_t.any()
 
 
 def test_nce_form_validation():
     with pytest.raises(ConfigError):
-        nce_loss([], np.ones((1, 1)), np.ones((1, 1)), form="bogus")
+        nce_loss([], np.ones((1, 1)), np.ones((1, 1)), form="bogus", temperature=1.0)
 
 
 # ---------------------------------------------------------------- loop oracle
@@ -393,7 +410,7 @@ def test_vectorised_losses_match_loop_oracle(batch, seed):
                 )
             for mode in ("exp", "literal"):
                 _assert_matches_oracle(
-                    contrastive_loss_setform(sets, o_i, o_t, mode, tau),
+                    contrastive_loss_setform(sets, o_i, o_t, score_mode=mode, temperature=tau),
                     oracle.contrastive_loss_setform(refs, o_i, o_t, mode, tau),
                 )
 
@@ -456,9 +473,7 @@ def test_total_loss_grad_matches_finite_diff_float64():
     cache = _forward(model)
     bd = total_loss(cache, y, y, cfg, np.random.default_rng(99))
     model_mod.backward_full(
-        model,
-        cache,
-        model_mod.LossGrads(bd.d_o_image, bd.d_o_text, bd.d_xhat_image, bd.d_xhat_text),
+        model, cache, bd.d_o_image, bd.d_o_text, bd.d_xhat_image, bd.d_xhat_text
     )
     from cobra.nn import finite_diff_grad, max_rel_err
 

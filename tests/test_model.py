@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cobra import model as model_mod
+from cobra import model as model_mod, nn
 from cobra.errors import ParameterError, ShapeError
-from cobra.model import LossGrads
 
 from conftest import tiny_model
 
@@ -54,7 +53,7 @@ def test_encode_project_shapes():
     assert z.shape == (3, 7)
     o = model_mod.project(m.image, z)
     assert o.shape == (3, 3)
-    x_hat = model_mod.decode(m.image, z)
+    x_hat = model_mod._mlp_forward(z, m.image.decoder).output
     assert x_hat.shape == (3, 5)
 
 
@@ -63,7 +62,7 @@ def test_encode_rejects_wrong_width():
     with pytest.raises(ShapeError):
         model_mod.encode(m.image, np.zeros((2, 4)))
     with pytest.raises(ShapeError):
-        model_mod.decode(m.image, np.zeros((2, 6)))
+        model_mod._mlp_forward(np.zeros((2, 6)), m.image.decoder)
     with pytest.raises(ShapeError):
         model_mod.project(m.image, np.zeros((2, 6)))
 
@@ -93,17 +92,42 @@ def test_forward_matches_composed_primitives():
     z = model_mod.encode(m.image, x_i)
     assert np.allclose(cache.image.z, z)
     assert np.allclose(cache.image.o, model_mod.project(m.image, z))
-    assert np.allclose(cache.image.x_hat, model_mod.decode(m.image, z))
+    assert np.allclose(cache.image.x_hat, model_mod._mlp_forward(z, m.image.decoder).output)
 
 
-def test_backward_rejects_missing_grad_component():
+def _fc(h, layer):
+    w, b = layer
+    return nn.affine_forward(h, w.value, b.value)
+
+
+def _relu_fc(h, layer):
+    return nn.relu(_fc(h, layer))
+
+
+def test_relu_follows_every_layer_but_the_last():
+    """forward_full and the eval-mode head equal the architecture written out
+    layer by layer: a ReLU after every affine layer but the last."""
     m = tiny_model()
-    rng = np.random.default_rng(2)
-    cache = model_mod.forward_full(m, rng.normal(size=(2, 5)), rng.normal(size=(2, 4)))
-    with pytest.raises(model_mod.ContractError):
-        model_mod.backward_full(
-            m, cache, LossGrads(None, np.zeros((2, 3)), np.zeros((2, 5)), np.zeros((2, 4)))
-        )
+    rng = np.random.default_rng(7)
+    x_i, x_t = rng.normal(size=(4, 5)), rng.normal(size=(4, 4))
+    cache = model_mod.forward_full(m, x_i, x_t)
+    for pipeline, x, pc in ((m.image, x_i, cache.image), (m.text, x_t, cache.text)):
+        e0, e1, e2 = pipeline.encoder
+        d0, d1, d2 = pipeline.decoder
+        (p0,) = pipeline.projection
+        z = _fc(_relu_fc(_relu_fc(x, e0), e1), e2)
+        assert np.array_equal(pc.z, z)
+        assert np.array_equal(pc.o, _fc(z, p0))
+        assert np.array_equal(pc.x_hat, _fc(_relu_fc(_relu_fc(z, d0), d1), d2))
+
+    head = model_mod.init_head(3, 4, seed=0, dtype=np.float64, hidden=(5, 4, 3))
+    for p in head.params():
+        p.value += rng.normal(scale=0.1, size=p.value.shape)
+    o_t, o_i = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    h0, h1, h2, h3 = head.layers
+    x = np.concatenate([o_t, o_i], axis=1)
+    logits = _fc(_relu_fc(_relu_fc(_relu_fc(x, h0), h1), h2), h3)
+    assert np.array_equal(model_mod.classify_cached(head, o_t, o_i).output, logits)
 
 
 def test_backward_rejects_shape_mismatch():
@@ -114,9 +138,10 @@ def test_backward_rejects_shape_mismatch():
         model_mod.backward_full(
             m,
             cache,
-            LossGrads(
-                np.zeros((3, 3)), np.zeros((2, 3)), np.zeros((2, 5)), np.zeros((2, 4))
-            ),
+            np.zeros((3, 3)),
+            np.zeros((2, 3)),
+            np.zeros((2, 5)),
+            np.zeros((2, 4)),
         )
 
 
@@ -131,11 +156,11 @@ def test_backward_branch_gradients_sum_linearly():
     d_x_i, d_x_t = rng.normal(size=(3, 5)), rng.normal(size=(3, 4))
     zeros = lambda a: np.zeros_like(a)
 
-    model_mod.backward_full(m, cache, LossGrads(d_o_i, d_o_t, zeros(d_x_i), zeros(d_x_t)))
+    model_mod.backward_full(m, cache, d_o_i, d_o_t, zeros(d_x_i), zeros(d_x_t))
     proj_only = {p.name: p.grad.copy() for p in m.params()}
-    model_mod.backward_full(m, cache, LossGrads(zeros(d_o_i), zeros(d_o_t), d_x_i, d_x_t))
+    model_mod.backward_full(m, cache, zeros(d_o_i), zeros(d_o_t), d_x_i, d_x_t)
     dec_only = {p.name: p.grad.copy() for p in m.params()}
-    model_mod.backward_full(m, cache, LossGrads(d_o_i, d_o_t, d_x_i, d_x_t))
+    model_mod.backward_full(m, cache, d_o_i, d_o_t, d_x_i, d_x_t)
     for p in m.params():
         assert np.allclose(p.grad, proj_only[p.name] + dec_only[p.name], atol=1e-10)
 
@@ -149,7 +174,10 @@ def test_backward_zeroes_stale_grads():
     model_mod.backward_full(
         m,
         cache,
-        LossGrads(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 5)), np.zeros((2, 4))),
+        np.zeros((2, 3)),
+        np.zeros((2, 3)),
+        np.zeros((2, 5)),
+        np.zeros((2, 4)),
     )
     for p in m.params():
         assert not p.grad.any()
@@ -169,18 +197,22 @@ def test_classify_eval_deterministic_train_stochastic():
     for p in head.params():
         p.value += rng.normal(scale=0.1, size=p.value.shape)
     o_t, o_i = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
-    a = model_mod.classify(head, o_t, o_i, mode="eval")
-    b = model_mod.classify(head, o_t, o_i, mode="eval")
+    a = model_mod.classify_cached(head, o_t, o_i, mode="eval").output
+    b = model_mod.classify_cached(head, o_t, o_i, mode="eval").output
     assert np.array_equal(a, b)
-    t1 = model_mod.classify(head, o_t, o_i, mode="train", rng=np.random.default_rng(1))
-    t2 = model_mod.classify(head, o_t, o_i, mode="train", rng=np.random.default_rng(2))
+    t1 = model_mod.classify_cached(
+        head, o_t, o_i, mode="train", rng=np.random.default_rng(1)
+    ).output
+    t2 = model_mod.classify_cached(
+        head, o_t, o_i, mode="train", rng=np.random.default_rng(2)
+    ).output
     assert not np.array_equal(t1, t2)
 
 
 def test_classify_rejects_row_mismatch():
     head = model_mod.init_head(3, 4, seed=0, hidden=(5, 4, 3))
     with pytest.raises(ShapeError):
-        model_mod.classify(head, np.zeros((2, 3)), np.zeros((3, 3)))
+        model_mod.classify_cached(head, np.zeros((2, 3)), np.zeros((3, 3))).output
 
 
 def test_classify_backward_splits_concat():
