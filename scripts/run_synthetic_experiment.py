@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Full synthetic pipeline in one run: generate data, train the joint
 embedding model, train the fusion classifier, and report retrieval mAP plus
-classification accuracy on the held-out split.
+classification accuracy on the held-out split. With --out, the directory
+gets the model checkpoints of `cobra train` plus head.ckpt, the fusion head
+trained on final.ckpt, which `cobra eval-classify --head-checkpoint` reads.
 
 Example:
     python3 scripts/run_synthetic_experiment.py --epochs 15 --out /tmp/cobra_run
@@ -12,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from cobra import data, evaluation, training
+from cobra import checkpoint, data, evaluation, training
 from cobra.losses import CONTRASTIVE_VARIANTS, LossWeights
 from cobra.training import HeadConfig, TrainConfig
 
@@ -37,7 +39,7 @@ def main() -> int:
     )
     ap.add_argument("--head-epochs", type=int, default=30)
     ap.add_argument("--seed", type=int, default=spec.seed)
-    ap.add_argument("--out", default=None, help="directory for checkpoints (optional)")
+    ap.add_argument("--out", default=None, help="directory for the model and head checkpoints (optional)")
     args = ap.parse_args()
 
     spec = data.SyntheticSpec(
@@ -77,6 +79,8 @@ def main() -> int:
     head = training.train_classifier(
         result.model, train_set, head_config=HeadConfig(epochs=args.head_epochs, seed=args.seed)
     )
+    if out_dir is not None:
+        checkpoint.save_checkpoint(head, out_dir / "head.ckpt")
     acc = evaluation.classification_accuracy(head, result.model, test_set, test_set.labels)
     print(f"accuracy={acc:.5f} n={test_set.n_pairs}")
     return 0

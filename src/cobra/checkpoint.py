@@ -91,7 +91,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
     return tensors
 
 
-def save_checkpoint(model: CobraModel, path):
+def save_checkpoint(model: CobraModel | ClassifierHead, path):
+    """Writes the parameters of a model or a fusion head, in params() order."""
     write_tensors(path, {p.name: p.value for p in model.params()})
 
 
@@ -149,10 +150,6 @@ def load_checkpoint(path) -> CobraModel:
     model = CobraModel(pipeline("image"), pipeline("text"))
     _reject_leftovers(tensors)
     return model
-
-
-def save_head(head: ClassifierHead, path):
-    write_tensors(path, {q.name: q.value for q in head.params()})
 
 
 def load_head(path) -> ClassifierHead:

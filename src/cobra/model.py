@@ -152,7 +152,7 @@ def _mlp_forward(
 
 
 def _mlp_backward(cache: MlpCache, layers: list[Layer], d_out: np.ndarray) -> np.ndarray:
-    """Accumulates param grads, returns gradient w.r.t. the MLP input."""
+    """Writes each layer's Param.grad; returns the gradient w.r.t. the MLP input."""
     d = d_out
     for i in range(len(layers) - 1, -1, -1):
         w, b = layers[i]
@@ -160,9 +160,7 @@ def _mlp_backward(cache: MlpCache, layers: list[Layer], d_out: np.ndarray) -> np
             if cache.masks[i] is not None:
                 d = d * cache.masks[i]
             d = nn.relu_backward(cache.pres[i], d)
-        d, gw, gb = nn.affine_backward(cache.inputs[i], w.value, d)
-        w.grad += gw
-        b.grad += gb
+        d = nn.affine_backward(cache.inputs[i], w.value, d, w.grad, b.grad)
     return d
 
 
@@ -204,10 +202,8 @@ def classify_cached(
 
 
 def classify_backward(head: ClassifierHead, cache: MlpCache, d_logits: np.ndarray):
-    """Accumulates head grads; returns (d_o_text, d_o_image)."""
-    d_x = _mlp_backward(cache, head.layers, d_logits)
-    z = d_x.shape[1] // 2
-    return d_x[:, :z], d_x[:, z:]
+    """Writes every head Param.grad (its input, the embeddings, stays frozen)."""
+    _mlp_backward(cache, head.layers, d_logits)
 
 
 def forward_full(
@@ -231,20 +227,13 @@ def forward_full(
     return ForwardCache(image=run(model.image, x_image), text=run(model.text, x_text))
 
 
-def zero_grads(model: CobraModel):
-    for p in model.params():
-        p.zero_grad()
-
-
 def backward_full(
     model: CobraModel, cache: ForwardCache, d_o_image, d_o_text, d_xhat_image, d_xhat_text
 ):
-    """Populates every pipeline Param.grad from the loss gradients w.r.t. the
-    joint projections (d_o_*) and reconstructions (d_xhat_*).
-
-    Grads are zeroed first; d_z sums the decoder and projection branches.
+    """Writes every pipeline Param.grad from the loss gradients w.r.t. the
+    joint projections (d_o_*) and reconstructions (d_xhat_*); d_z sums the
+    decoder and projection branches.
     """
-    zero_grads(model)
     for pipeline, pc, d_o, d_xhat in (
         (model.image, cache.image, d_o_image, d_xhat_image),
         (model.text, cache.text, d_o_text, d_xhat_text),

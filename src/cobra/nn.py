@@ -16,7 +16,7 @@ from .errors import NumericError, ParameterError, ShapeError
 
 @dataclass
 class Param:
-    """A named weight matrix with its gradient accumulator."""
+    """A named weight matrix and its gradient buffer, written by each backward pass."""
 
     name: str
     value: np.ndarray
@@ -30,9 +30,6 @@ class Param:
                 f"param {self.name}: grad shape {self.grad.shape} "
                 f"!= value shape {self.value.shape}"
             )
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
 
 class RngStreams:
@@ -73,14 +70,17 @@ def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b
 
 
-def affine_backward(x: np.ndarray, w: np.ndarray, upstream: np.ndarray):
-    """Returns (grad_x, grad_w, grad_b) for y = x @ w + b."""
+def affine_backward(x, w, upstream, grad_w, grad_b) -> np.ndarray:
+    """Backward of y = x @ w + b: writes the weight and bias gradients into
+    grad_w and grad_b, overwriting them, and returns grad_x."""
     if upstream.shape != (x.shape[0], w.shape[1]):
         raise ShapeError(
             f"affine_backward: upstream {upstream.shape} != output shape "
             f"({x.shape[0]}, {w.shape[1]})"
         )
-    return upstream @ w.T, x.T @ upstream, upstream.sum(axis=0, keepdims=True)
+    np.matmul(x.T, upstream, out=grad_w)
+    np.sum(upstream, axis=0, keepdims=True, out=grad_b)
+    return upstream @ w.T
 
 
 def relu(x: np.ndarray) -> np.ndarray:

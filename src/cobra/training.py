@@ -18,7 +18,7 @@ import numpy as np
 from . import evaluation, losses, model as model_mod
 from .checkpoint import save_checkpoint
 from .data import PairedDataset
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, LabelError, NumericError
 from .losses import LossBreakdown, LossWeights, check_choice
 from .model import ClassifierHead, CobraModel
 from .nn import RngStreams, sgd_step
@@ -303,9 +303,11 @@ def train_classifier(
 ) -> ClassifierHead:
     """Trains the fusion head on frozen joint embeddings (two-stage)."""
     cfg = head_config or HeadConfig()
-    labels = (
-        paired.labels if task_labels is None else np.asarray(task_labels, dtype=np.int64)
-    )
+    labels = paired.labels if task_labels is None else np.asarray(task_labels)
+    bad = (labels.astype(np.int64) != labels) | (labels < 0)
+    if bad.any():
+        raise LabelError(f"task label {labels[bad][0]} is not an integer >= 0")
+    labels = labels.astype(np.int64)
     if labels.shape[0] != paired.n_pairs:
         raise ConfigError(f"{labels.shape[0]} task labels for {paired.n_pairs} pairs")
     num_task_classes = int(labels.max()) + 1
@@ -320,7 +322,7 @@ def train_classifier(
     streams = RngStreams(cfg.seed)
     mb_rng = streams.get("minibatch")
     drop_rng = streams.get("dropout")
-    b = min(cfg.batch, paired.n_pairs)
+    b = _clip_batch(cfg.batch, paired.n_pairs)
     iters = -(-paired.n_pairs // b)
     for _ in range(cfg.epochs):
         for _ in range(iters):
@@ -329,8 +331,6 @@ def train_classifier(
                 head, o_text[idx], o_image[idx], mode="train", rng=drop_rng
             )
             _, d_logits = softmax_cross_entropy(hc.output, labels[idx])
-            for p in head.params():
-                p.zero_grad()
             model_mod.classify_backward(head, hc, d_logits)
             sgd_step(head.params(), cfg.eta)
     return head

@@ -165,7 +165,7 @@ def test_v2_float32_round_trip_keeps_dtype_and_bits(tmp_path):
         assert _same_bits(q.value, want[q.name])
         assert not q.grad.any() and q.grad.dtype == np.float32
     head = model_mod.init_head(3, 4, seed=3, dtype=np.float32, hidden=(5, 4, 3))
-    checkpoint.save_head(head, p)
+    checkpoint.save_checkpoint(head, p)
     back_head = checkpoint.load_head(p)
     for q, orig in zip(back_head.params(), head.params()):
         assert _same_bits(q.value, orig.value)
@@ -263,7 +263,7 @@ def test_head_round_trip(tmp_path):
     for q in head.params():
         q.value += rng.normal(size=q.value.shape)
     p = tmp_path / "h.ckpt"
-    checkpoint.save_head(head, p)
+    checkpoint.save_checkpoint(head, p)
     back = checkpoint.load_head(p)
     orig = {q.name: q.value for q in head.params()}
     for q in back.params():

@@ -459,7 +459,7 @@ def test_eval_classify_record(run_dir, dataset, tmp_path, capsys):
         model, paired, head_config=training.HeadConfig(epochs=2)
     )
     head_path = tmp_path / "head.ckpt"
-    checkpoint.save_head(head, head_path)
+    checkpoint.save_checkpoint(head, head_path)
     code, out, _ = run_cli(
         capsys, "eval-classify", "--manifest", str(dataset / "test.manifest"),
         "--checkpoint", str(run_dir / "final.ckpt"),

@@ -215,10 +215,13 @@ def test_classify_rejects_row_mismatch():
         model_mod.classify_cached(head, np.zeros((2, 3)), np.zeros((3, 3))).output
 
 
-def test_classify_backward_splits_concat():
+def test_classify_backward_overwrites_stale_grads():
     head = model_mod.init_head(3, 2, seed=0, dtype=np.float64, hidden=(5, 4, 3))
+    for p in head.params():
+        p.grad[...] = 123.0
     rng = np.random.default_rng(6)
     o_t, o_i = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
     hc = model_mod.classify_cached(head, o_t, o_i, mode="eval")
-    d_t, d_i = model_mod.classify_backward(head, hc, rng.normal(size=(4, 2)))
-    assert d_t.shape == (4, 3) and d_i.shape == (4, 3)
+    model_mod.classify_backward(head, hc, np.zeros((4, 2)))
+    for p in head.params():
+        assert not p.grad.any()

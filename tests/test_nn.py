@@ -23,15 +23,22 @@ def test_affine_forward_batch_shape():
     assert y.shape == (2, 4)
 
 
+def _affine_grads(x, w, upstream):
+    """affine_backward into buffers pre-filled with 7.0, so every test also
+    pins that the gradients are written, not accumulated."""
+    gw = np.full(w.shape, 7.0)
+    gb = np.full((1, w.shape[1]), 7.0)
+    gx = nn.affine_backward(x, w, upstream, gw, gb)
+    return gx, gw, gb
+
+
 def test_affine_backward_zero_upstream():
-    gx, gw, gb = nn.affine_backward(np.ones((2, 3)), np.ones((3, 2)), np.zeros((2, 2)))
+    gx, gw, gb = _affine_grads(np.ones((2, 3)), np.ones((3, 2)), np.zeros((2, 2)))
     assert not gx.any() and not gw.any() and not gb.any()
 
 
 def test_affine_backward_scalar_chain_rule():
-    gx, gw, gb = nn.affine_backward(
-        np.array([[2.0]]), np.array([[3.0]]), np.array([[1.0]])
-    )
+    gx, gw, gb = _affine_grads(np.array([[2.0]]), np.array([[3.0]]), np.array([[1.0]]))
     assert np.allclose(gx, [[3.0]]) and np.allclose(gw, [[2.0]]) and np.allclose(gb, [[1.0]])
 
 
@@ -41,7 +48,7 @@ def test_affine_backward_matches_finite_diff():
     w = Param("w", rng.normal(size=(4, 2)))
     b = Param("b", rng.normal(size=(1, 2)))
     upstream = rng.normal(size=(3, 2))
-    _, gw, gb = nn.affine_backward(x, w.value, upstream)
+    _, gw, gb = _affine_grads(x, w.value, upstream)
     numeric = nn.finite_diff_grad(
         lambda: float(np.sum(nn.affine_forward(x, w.value, b.value) * upstream)),
         [w, b],

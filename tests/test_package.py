@@ -13,7 +13,6 @@ NO_CALLER_ALLOWED = {
         "the one entry point for a query set and a gallery that are not pairs; "
         "the oracle tests reach queries with no relevant item through it"
     ),
-    "checkpoint.save_head": "the only writer of the head files that eval-classify reads",
 }
 
 

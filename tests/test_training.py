@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cobra import checkpoint, data, model as model_mod, training
-from cobra.errors import ConfigError
+from cobra.errors import ConfigError, LabelError
 from cobra.losses import LossWeights
 from cobra.nn import RngStreams
 from cobra.training import HeadConfig, TrainConfig, softmax_cross_entropy
@@ -309,6 +309,29 @@ def test_train_classifier_custom_task_labels():
     assert head.num_classes == 2
     with pytest.raises(ConfigError):
         training.train_classifier(m, paired, task_labels=task[:-1])
+
+
+@pytest.mark.parametrize(
+    "task, named",
+    [(np.resize([0, 1, -1], 30), "-1"), (np.resize([0.5, 1.5, 2.5], 30), "0.5")],
+    ids=["negative", "fractional"],
+)
+def test_train_classifier_rejects_bad_task_labels(monkeypatch, task, named):
+    """A negative label (which would index the last class) or a fractional
+    one (which would be truncated) is a LabelError naming it, raised before
+    any head is built."""
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    m = model_mod.init_model(6, 5, 3, seed=0)
+    monkeypatch.setattr(model_mod, "init_head", None)
+    with pytest.raises(LabelError, match=f"task label {named} "):
+        training.train_classifier(m, paired, task_labels=task)
+
+
+def test_train_classifier_clips_batch_with_one_warning(capsys):
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    m = model_mod.init_model(6, 5, 3, seed=0)
+    training.train_classifier(m, paired, head_config=HeadConfig(epochs=2, batch=1000))
+    assert capsys.readouterr().err.count("warning: batch 1000 > 30 pairs, clipping") == 1
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
