@@ -67,7 +67,9 @@ def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"affine_forward: x {x.shape}, w {w.shape}, b {b.shape} do not conform"
         )
-    return x @ w + b
+    y = x @ w
+    y += b
+    return y
 
 
 def affine_backward(x, w, upstream, grad_w, grad_b) -> np.ndarray:
@@ -88,8 +90,15 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    # subgradient at exactly 0 is taken as 0
-    return np.where(x > 0.0, upstream, 0.0)
+    """Gradient through ReLU: upstream * (x > 0). The subgradient at exactly
+    0 is taken as 0.
+
+    A dead unit (x <= 0, or NaN) passes upstream * 0: ±0 for a finite
+    upstream, and NaN for a non-finite one (a np.where mask gave 0 there).
+    sgd_step then halts on that NaN with a NumericError (exit 4), as on any
+    other non-finite gradient.
+    """
+    return upstream * (x > 0.0)
 
 
 def dropout(x: np.ndarray, p: float, mode: str, rng: np.random.Generator):
@@ -108,12 +117,37 @@ def dropout(x: np.ndarray, p: float, mode: str, rng: np.random.Generator):
     return x * mask, mask
 
 
+_CHUNK = 1 << 16  # elements per sgd_step update chunk
+
+
 def sgd_step(params: Iterable[Param], eta: float):
-    """In-place value <- value - eta * grad over every param."""
-    for p in params:
-        if not np.isfinite(p.grad).all():
-            raise NumericError(f"non-finite gradient in param {p.name!r}")
-        p.value -= eta * p.grad
+    """In-place value <- value - eta * grad over every param.
+
+    Every gradient is checked before any value changes, so a NumericError
+    leaves all values as they were. A grad passes when its sum of squares is
+    finite, which proves every entry finite; only when it is not does an
+    entrywise isfinite pass decide (a finite grad whose square overflows
+    passes). The update then runs in chunks of _CHUNK elements through one
+    small scratch buffer, with the same arithmetic as value -= eta * grad.
+    """
+    flat = []
+    with np.errstate(over="ignore"):  # an overflowing square is not an error
+        for p in params:
+            g = p.grad.reshape(-1)
+            if not np.isfinite(np.dot(g, g)) and not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient in param {p.name!r}")
+            if not p.value.flags.c_contiguous:
+                raise ShapeError(f"param {p.name!r}: value is not C-contiguous")
+            flat.append((p.value.reshape(-1), g))
+    tmp = None
+    for v, g in flat:
+        dtype = np.result_type(g, eta)  # the dtype of eta * grad
+        if tmp is None or tmp.dtype != dtype:
+            tmp = np.empty(_CHUNK, dtype)
+        for s in range(0, g.size, _CHUNK):
+            e = min(s + _CHUNK, g.size)
+            np.multiply(g[s:e], eta, out=tmp[: e - s])
+            v[s:e] -= tmp[: e - s]
 
 
 def finite_diff_grad(

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from cobra import nn
-from cobra.errors import NumericError, ParameterError
+from cobra.errors import NumericError, ParameterError, ShapeError
 from cobra.nn import Param
 
 
@@ -67,8 +69,20 @@ def test_relu_positive_identity():
 
 
 def test_relu_backward_zero_at_kink():
-    g = nn.relu_backward(np.array([[0.0, 1.0, -1.0]]), np.ones((1, 3)))
-    assert np.array_equal(g, [[0.0, 1.0, 0.0]])
+    # a dead unit (x <= 0 or NaN) passes upstream * 0, which is -0.0 for a
+    # negative upstream; array_equal counts -0.0 equal to 0.0
+    x = np.array([[0.0, 1.0, -1.0, np.nan, -3.0]])
+    for upstream in (1.0, -2.5):
+        g = nn.relu_backward(x, np.full(x.shape, upstream))
+        assert np.array_equal(g, [[0.0, upstream, 0.0, 0.0, 0.0]]), upstream
+
+
+def test_relu_backward_nonfinite_upstream_stays_nonfinite():
+    with np.errstate(invalid="ignore"):  # inf * 0
+        g = nn.relu_backward(
+            np.array([[-1.0, 0.0, 2.0]]), np.array([[np.inf, np.nan, np.inf]])
+        )
+    assert np.isnan(g[0, 0]) and np.isnan(g[0, 1]) and g[0, 2] == np.inf
 
 
 def test_dropout_eval_identity():
@@ -128,9 +142,61 @@ def test_sgd_two_half_steps_equal_one_double_step():
 
 
 def test_sgd_nonfinite_grad_names_param():
-    p = Param("enc.w", np.ones((1, 1)), np.array([[np.nan]]))
-    with pytest.raises(NumericError, match="enc.w"):
-        nn.sgd_step([p], 0.1)
+    # in the larger param the bad entry sits in the last, ragged update chunk
+    cases = itertools.product(
+        [(1, 1), (1, 2 * nn._CHUNK + 7)], [np.nan, np.inf, -np.inf], [np.float32, np.float64]
+    )
+    for shape, bad, dtype in cases:
+        grad = np.full(shape, 0.5, dtype=dtype)
+        grad.reshape(-1)[-1 if grad.size == 1 else -3] = bad
+        p = Param("enc.w", np.ones(shape, dtype=dtype), grad)
+        with pytest.raises(NumericError, match="enc.w"):
+            nn.sgd_step([p], 0.1)
+        assert np.array_equal(p.value, np.ones(shape, dtype=dtype)), (shape, bad, dtype)
+
+
+def test_sgd_nonfinite_grad_leaves_every_value_unchanged():
+    rng = np.random.default_rng(11)
+    a = Param("a", rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
+    b = Param("b", rng.normal(size=(2, 5)), rng.normal(size=(2, 5)))
+    b.grad[1, 2] = np.nan
+    before = [a.value.tobytes(), b.value.tobytes()]
+    with pytest.raises(NumericError, match="'b'"):
+        nn.sgd_step([a, b], 0.1)
+    assert [a.value.tobytes(), b.value.tobytes()] == before
+
+
+def test_sgd_finite_grad_with_overflowing_square_updates():
+    grad = np.array([[1e20, -3.0]], dtype=np.float32)
+    flat = grad.reshape(-1)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.dot(flat, flat))  # the sum of squares overflows float32
+    p = Param("w", np.ones((1, 2), dtype=np.float32), grad)
+    expected = p.value - 0.1 * grad
+    nn.sgd_step([p], 0.1)
+    assert p.value.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("eta", [0.01, np.float64(0.01)], ids=["float", "np.float64"])
+def test_sgd_chunked_update_equals_whole_array_rule(dtype, eta):
+    rng = np.random.default_rng(5)
+    shape = (1, 2 * nn._CHUNK + 7)
+    value = rng.normal(size=shape).astype(dtype)
+    grad = rng.normal(size=shape).astype(dtype)
+    expected = value.copy()
+    expected -= eta * grad
+    p = Param("w", value, grad.copy())
+    nn.sgd_step([p], eta)
+    assert p.value is value and p.value.tobytes() == expected.tobytes()
+
+
+def test_sgd_rejects_noncontiguous_value_before_any_update():
+    a = Param("a", np.zeros((2, 2)), np.ones((2, 2)))
+    t = Param("t", np.zeros((3, 2)).T, np.ones((2, 3)))
+    with pytest.raises(ShapeError, match="'t'"):
+        nn.sgd_step([a, t], 0.1)
+    assert not a.value.any()
 
 
 def test_finite_diff_quadratic():

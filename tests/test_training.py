@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cobra import checkpoint, data, model as model_mod, training
+import train_step_oracle as oracle
+from cobra import checkpoint, data, model as model_mod, nn, training
 from cobra.errors import ConfigError, LabelError
 from cobra.losses import LossWeights
 from cobra.nn import RngStreams
@@ -359,3 +360,36 @@ def test_train_classifier_embeds_without_decoders(monkeypatch, dtype):
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
     assert all(q.value.dtype == dtype for q in head.params())
+
+
+@pytest.mark.parametrize("lambda_c", [0.0, 0.1])
+def test_train_step_and_head_steps_match_oracle(monkeypatch, lambda_c):
+    """Three float32 train_steps, then three head steps with dropout on, give
+    byte-identical values and equal grads through the production primitives
+    and through the whole-array forms in train_step_oracle."""
+    paired = tiny_paired(classes=3, per_class=8, d_image=6, d_text=5)
+
+    def run():
+        cfg = small_config(weights=LossWeights(lambda_c=lambda_c))
+        streams = RngStreams(cfg.seed)
+        # hidden 260: the 260x260 weights span two sgd_step update chunks
+        m = model_mod.init_model(6, 5, 3, seed=0, hidden_dim=260, latent_dim=32)
+        state = training.TrainState(model=m, config=cfg, streams=streams)
+        for _ in range(3):
+            mb = training.sample_minibatch(paired, cfg.batch, streams.get("minibatch"))
+            training.train_step(state, mb)
+        # 24 pairs at batch 8: one epoch is three head steps
+        head = training.train_classifier(m, paired, head_config=HeadConfig(epochs=1, batch=8))
+        return [(p.name, p.value.copy(), p.grad.copy()) for p in m.params() + head.params()]
+
+    production = run()
+    monkeypatch.setattr(nn, "affine_forward", oracle.affine_forward)
+    monkeypatch.setattr(nn, "relu_backward", oracle.relu_backward)
+    monkeypatch.setattr(nn, "sgd_step", oracle.sgd_step)
+    monkeypatch.setattr(training, "sgd_step", oracle.sgd_step)
+    reference = run()
+    assert max(v.size for _, v, _ in production) > nn._CHUNK
+    assert [n for n, _, _ in production] == [n for n, _, _ in reference]
+    for (name, value, grad), (_, ref_value, ref_grad) in zip(production, reference):
+        assert value.dtype == np.float32 and value.tobytes() == ref_value.tobytes(), name
+        assert np.array_equal(grad, ref_grad), name
