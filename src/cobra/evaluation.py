@@ -7,10 +7,12 @@ the query's class. AP is computed over the full ranked list. Queries with no
 relevant gallery item have undefined AP and are excluded from the mean (and
 counted), unless ``zero_relevant="zero"`` scores them as 0.
 
-Queries are ranked in blocks of ``_QUERY_BLOCK`` rows: one fast argsort per
-block, then one integer key sort of only the rows with equal scores, which
-gives the tie-by-index order bit for bit. ``rank_gallery`` and ``average_precision``
-hold the two conventions and take such a block along the last axis.
+Queries are ranked in blocks of ``_QUERY_BLOCK`` rows. A float32 block (the
+scores of a v2 checkpoint's model) takes one int64 sort of an order-keeping
+key per score, which gives the tie-by-index order bit for bit; a float64
+block takes a fast argsort, then an integer key sort of only the rows with
+equal scores. ``rank_gallery`` and ``average_precision`` hold the two
+conventions and take such a block along the last axis.
 ``retrieval_report`` embeds each modality once for both directions.
 """
 
@@ -28,8 +30,9 @@ from .model import ClassifierHead, CobraModel
 
 DIRECTIONS = ("ITT", "TTI")
 ZERO_RELEVANT = ("exclude", "zero")
-# Queries ranked at once: a (block, gallery) score and index array each stay
-# near 7 MB on a 3500-item gallery.
+# Queries ranked at once: on a 3500-item gallery a float32 block's int32 key
+# stays near 3.5 MB and its int64 sort keys near 7 MB; a float64 block's
+# score and index arrays near 7 MB each.
 _QUERY_BLOCK = 256
 
 
@@ -74,16 +77,42 @@ def rank_gallery(sims: np.ndarray) -> np.ndarray:
     """Indices by descending similarity along the last axis, ties broken by
     ascending index.
 
-    A row without equal scores has one sorted order, so the fast default sort
-    finds it; only rows whose sorted scores are not strictly decreasing (equal
-    scores, -0.0 and 0.0, NaN) are repaired by ``_order_ties``.
+    float32 scores take the one sort of ``_key_order``. Other scores take
+    the fast default argsort: a row without equal scores has one sorted
+    order, which it finds; only rows whose sorted scores are not strictly
+    decreasing (equal scores, -0.0 and 0.0, NaN) are repaired by
+    ``_order_ties``. float64 keeps this path because its key does not fit in
+    one int64 beside the index, and on a 256x3500 float64 block this path
+    took 31 ms against 97 ms for a stable argsort.
     """
-    neg = -np.asarray(sims)
+    sims = np.asarray(sims)
+    if sims.dtype == np.float32:
+        return _key_order(sims)
+    neg = -sims
     order = np.argsort(neg, axis=-1)
     neg.sort(axis=-1)
     tied = ~np.all(neg[..., 1:] > neg[..., :-1], axis=-1)
     if np.any(tied):
         order[tied] = _order_ties(neg[tied], order[tied])
+    return order
+
+
+def _key_order(sims: np.ndarray) -> np.ndarray:
+    """Stable descending order of float32 scores: one int64 sort of
+    ``~key << 32 | index``. The key maps the float's bits to an int32 in
+    float order (a negative float's magnitude bits are flipped); -0.0 takes
+    0.0's key and every NaN the lowest key, so each is one run, NaNs last,
+    as in a stable sort. ``~`` rather than negation reverses the order
+    without overflowing the lowest key."""
+    bits = sims.view(np.int32)
+    key = bits ^ ((bits >> 31) & 0x7FFFFFFF)
+    key[sims == 0] = 0
+    key[np.isnan(sims)] = np.iinfo(np.int32).min
+    order = np.invert(key).astype(np.int64)
+    order <<= 32
+    order |= np.arange(sims.shape[-1])
+    order.sort(axis=-1)
+    order &= 0xFFFFFFFF
     return order
 
 

@@ -1,10 +1,11 @@
 """Per-query retrieval loop: the reference implementation of
 ``evaluation.mean_average_precision``.
 
-Production ranks queries in blocks with a fast argsort and repairs the order
-of only the rows with equal scores. This module keeps the original loop, one stable
-argsort and one AP per query, with its own copies of the ranking and AP
-conventions, so a fault in the production versions cannot hide here too.
+Production ranks queries in blocks: a float32 block with one integer key
+sort, a float64 block with a fast argsort and a repair of only the rows with
+equal scores. This module keeps the original loop, one stable argsort and one
+AP per query, with its own copies of the ranking and AP conventions, so a
+fault in the production versions cannot hide here too.
 ``cosine_similarity`` scores one query/gallery pair, the brute-force check of
 ``evaluation.similarity_matrix``.
 """

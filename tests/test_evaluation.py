@@ -60,15 +60,29 @@ def test_average_precision_rejects_no_relevant():
         evaluation.average_precision([0, 0, 0])
 
 
-def test_rank_gallery_block_matches_stable_sort_per_row():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_rank_gallery_block_matches_stable_sort_per_row(dtype):
+    """float64 blocks take the argsort and tie repair, float32 blocks the key
+    sort; both equal the stable per-row oracle, on contiguous, strided and
+    Fortran-ordered blocks."""
     rng = np.random.default_rng(5)
-    sims = np.round(rng.normal(size=(40, 300)), 1)  # many equal scores
+    sims = np.round(rng.normal(size=(40, 300)), 1).astype(dtype)  # many equal scores
     sims[0, :6] = [0.0, -0.0, 0.0, -0.0, 0.5, -0.0]
     sims[1, ::7] = np.nan
     sims[2] = 0.25  # every score equal
-    want = np.stack([retrieval_oracle.rank_gallery(row) for row in sims])
-    assert np.array_equal(evaluation.rank_gallery(sims), want)
-    assert np.array_equal(evaluation.rank_gallery(sims[3]), want[3])
+    # Repeated extremes: signed zeros, subnormals, the largest finite values,
+    # infinities, and a quiet NaN, a NaN with the sign bit set and a payload NaN.
+    nans = np.array([0x7FC00000, 0xFFC00000, 0x7F800001], np.uint32).view(np.float32)
+    extremes = np.array([0.0, 1e-45, 3.4028235e38, np.inf], np.float32)
+    with np.errstate(invalid="ignore"):  # widening a payload NaN flags it
+        pool = np.concatenate([extremes, -extremes, nans]).astype(dtype)
+    sims[4:10] = rng.choice(pool, size=(6, 300))
+    sims[10, ::3] = pool[-2]  # a row whose NaNs all have the sign bit set
+    for block in (sims, sims[:, ::2], np.asfortranarray(sims)):
+        want = np.stack([retrieval_oracle.rank_gallery(row) for row in block])
+        assert np.array_equal(evaluation.rank_gallery(block), want)
+        assert np.array_equal(evaluation.rank_gallery(block[3]), want[3])
+        assert np.array_equal(evaluation.rank_gallery(block[4]), want[4])
 
 
 @given(
