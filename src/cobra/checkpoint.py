@@ -1,4 +1,5 @@
-"""Binary checkpoint format.
+"""Binary checkpoint format. The loaders match tensors by name to the layout
+that model.build_model / model.build_head state.
 
 Little-endian layout, version 2: magic ``COBRAMDL`` (8 bytes), format version
 u32 (=2), tensor count u32, value width u32 (4 or 8); per tensor: name length
@@ -18,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .model import ClassifierHead, CobraModel, Layer, ModalityPipeline
-from .nn import Param
+from .model import ClassifierHead, CobraModel, build_head, build_model
 
 MAGIC = b"COBRAMDL"
 VERSION = 2
@@ -105,23 +105,18 @@ def _shape(tensors: dict[str, np.ndarray], name: str) -> tuple[int, int]:
     return shape
 
 
-def _take_layers(tensors: dict[str, np.ndarray], prefix: str, dims) -> list[Layer]:
-    """Pops the weight and bias of each layer of `dims` from `tensors` as
-    Params; a missing, empty or misshapen tensor is a CheckpointError."""
-    layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        pair = []
-        for name, shape in (
-            (f"{prefix}{i}.w", (fan_in, fan_out)),
-            (f"{prefix}{i}.b", (1, fan_out)),
-        ):
-            if _shape(tensors, name) != shape:
-                raise CheckpointError(
-                    f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
-                )
-            pair.append(Param(name, tensors.pop(name)))
-        layers.append(tuple(pair))
-    return layers
+def _popped(tensors: dict[str, np.ndarray]):
+    """A value source for the model builders that pops each named tensor
+    from `tensors`; a missing, empty or misshapen one is a CheckpointError."""
+
+    def value(name: str, shape: tuple[int, int]) -> np.ndarray:
+        if _shape(tensors, name) != shape:
+            raise CheckpointError(
+                f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
+            )
+        return tensors.pop(name)
+
+    return value
 
 
 def _reject_leftovers(tensors: dict[str, np.ndarray]):
@@ -133,21 +128,13 @@ def load_checkpoint(path) -> CobraModel:
     """Rebuilds a model from its tensors in their stored precision; shapes
     define d_I, d_T, C and the hidden and latent widths."""
     tensors = read_tensors(path)
-    hidden_dim = _shape(tensors, "image.enc0.w")[1]
+    d_image, hidden_dim = _shape(tensors, "image.enc0.w")
     latent_dim = _shape(tensors, "image.enc2.w")[1]
     num_classes = _shape(tensors, "image.proj0.w")[1]
-
-    def pipeline(modality: str) -> ModalityPipeline:
-        d = _shape(tensors, f"{modality}.enc0.w")[0]
-        h, z = hidden_dim, latent_dim
-        return ModalityPipeline(
-            modality,
-            _take_layers(tensors, f"{modality}.enc", [d, h, h, z]),
-            _take_layers(tensors, f"{modality}.dec", [z, h, h, d]),
-            _take_layers(tensors, f"{modality}.proj", [z, num_classes]),
-        )
-
-    model = CobraModel(pipeline("image"), pipeline("text"))
+    d_text = _shape(tensors, "text.enc0.w")[0]
+    model = build_model(
+        d_image, d_text, num_classes, hidden_dim, latent_dim, _popped(tensors)
+    )
     _reject_leftovers(tensors)
     return model
 
@@ -161,6 +148,6 @@ def load_head(path) -> ClassifierHead:
     if dims[0] % 2:
         raise CheckpointError(f"head input width {dims[0]} is not two joint widths")
     dims += [_shape(tensors, f"head.fc{i}.w")[1] for i in range(4)]
-    head = ClassifierHead(layers=_take_layers(tensors, "head.fc", dims))
+    head = build_head(dims, _popped(tensors))
     _reject_leftovers(tensors)
     return head

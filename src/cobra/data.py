@@ -170,8 +170,9 @@ def _read_feature_file(path: Path) -> FeatureDataset:
                 raise FormatError(f"{path}:{lineno}: non-finite feature value")
             labels[i] = label
             features[i] = row
-        if fh.readline().strip():
-            raise FormatError(f"{path}:{n + 2}: trailing content after {n} rows")
+        for lineno, line in enumerate(fh, start=n + 2):
+            if line.strip():
+                raise FormatError(f"{path}:{lineno}: trailing content after {n} rows")
     return FeatureDataset(modality, features, labels, c)
 
 

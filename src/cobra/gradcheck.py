@@ -68,7 +68,7 @@ def _check_model_loss(
     model, x_i, x_t, y = _toy_setup(seed)
 
     def breakdown():
-        cache = model_mod.forward_full(model, x_i, x_t, mode="eval")
+        cache = model_mod.forward_full(model, x_i, x_t)
         # fixed-seed sampling keeps the objective a pure function of params
         bd = losses.total_loss(cache, y, y, cfg, np.random.default_rng(12345))
         return cache, bd

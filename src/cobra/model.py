@@ -7,10 +7,12 @@ Projection: FC(512, Z) identity, one head per modality
 Classifier: Concat -> FC(2Z, 512) ReLU Drop(.5) -> FC(512, 128) ReLU Drop(.5)
             -> FC(128, 64) ReLU Drop(.2) -> FC(64, C_task)
 
-In every MLP a ReLU (and the head's dropout) follows every layer but the
-last, which is linear. The joint dimension Z equals the class count C: the
-supervised objective regresses projections onto one-hot labels, which fixes
-the width. Every width is read from the weights.
+In every MLP a ReLU follows every layer but the last, which is linear; the
+head's dropout follows those ReLUs in training forwards only. The joint
+dimension Z equals the class count C: the supervised objective regresses
+projections onto one-hot labels, which fixes the width. Every width is read
+from the weights. Each layer's name and shape is stated once, in build_model
+and build_head, which init_* and the checkpoint loaders both call.
 """
 
 from __future__ import annotations
@@ -25,9 +27,14 @@ from .nn import Param
 
 LATENT_DIM = 512
 HIDDEN_DIM = 1024
+HEAD_DROPOUT = (0.5, 0.5, 0.2)  # after the head's three ReLUs, in training
 
 
 Layer = tuple[Param, Param]  # (weight, bias)
+
+
+def _params(layers: list[Layer]) -> list[Param]:
+    return [p for pair in layers for p in pair]
 
 
 @dataclass
@@ -46,10 +53,7 @@ class ModalityPipeline:
         return self.encoder[-1][0].value.shape[1]
 
     def params(self) -> list[Param]:
-        out = []
-        for w, b in self.encoder + self.decoder + self.projection:
-            out.extend((w, b))
-        return out
+        return _params(self.encoder + self.decoder + self.projection)
 
 
 @dataclass
@@ -79,13 +83,9 @@ class CobraModel:
 @dataclass
 class ClassifierHead:
     layers: list[Layer]
-    dropout_p: tuple[float, ...] = (0.5, 0.5, 0.2)
 
     def params(self) -> list[Param]:
-        out = []
-        for w, b in self.layers:
-            out.extend((w, b))
-        return out
+        return _params(self.layers)
 
     @property
     def input_dim(self) -> int:
@@ -127,27 +127,24 @@ def _mlp_forward(
     x: np.ndarray,
     layers: list[Layer],
     dropout_p: tuple[float, ...] = (),
-    mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> MlpCache:
-    """Forward through affine layers; ReLU (and optional dropout) after every
-    layer but the last."""
+    """Forward through affine layers; ReLU after every layer but the last,
+    the i-th followed by dropout of probability dropout_p[i] if given."""
     inputs, pres, masks = [], [], []
     h = x
     for i, (w, b) in enumerate(layers):
         inputs.append(h)
         pre = nn.affine_forward(h, w.value, b.value)
         pres.append(pre)
+        mask = None
         if i < len(layers) - 1:
             h = nn.relu(pre)
-            if i < len(dropout_p) and dropout_p[i] > 0.0:
-                h, mask = nn.dropout(h, dropout_p[i], mode, rng)
-                masks.append(mask)
-            else:
-                masks.append(None)
+            if i < len(dropout_p):
+                h, mask = nn.dropout(h, dropout_p[i], rng)
         else:
             h = pre
-            masks.append(None)
+        masks.append(mask)
     return MlpCache(inputs=inputs, pres=pres, output=h, masks=masks)
 
 
@@ -187,7 +184,10 @@ def classify_cached(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> MlpCache:
-    """The fusion head's forward pass; its `output` holds the logits."""
+    """The fusion head's forward pass, with dropout in "train" mode only; its
+    `output` holds the logits."""
+    if mode not in ("train", "eval"):
+        raise ParameterError(f"classify mode must be train|eval, got {mode!r}")
     if o_text.shape[0] != o_image.shape[0]:
         raise ShapeError(
             f"classify: row counts differ ({o_text.shape[0]} text vs "
@@ -198,7 +198,8 @@ def classify_cached(
         raise ShapeError(
             f"classify: concat width {x.shape[1]} != head input {head.input_dim}"
         )
-    return _mlp_forward(x, head.layers, dropout_p=head.dropout_p, mode=mode, rng=rng)
+    dropout_p = HEAD_DROPOUT if mode == "train" else ()
+    return _mlp_forward(x, head.layers, dropout_p=dropout_p, rng=rng)
 
 
 def classify_backward(head: ClassifierHead, cache: MlpCache, d_logits: np.ndarray):
@@ -206,9 +207,7 @@ def classify_backward(head: ClassifierHead, cache: MlpCache, d_logits: np.ndarra
     _mlp_backward(cache, head.layers, d_logits)
 
 
-def forward_full(
-    model: CobraModel, x_image: np.ndarray, x_text: np.ndarray, mode: str = "eval"
-) -> ForwardCache:
+def forward_full(model: CobraModel, x_image: np.ndarray, x_text: np.ndarray) -> ForwardCache:
     """One minibatch through both pipelines, keeping all intermediates."""
 
     def run(pipeline: ModalityPipeline, x: np.ndarray) -> PipelineCache:
@@ -248,15 +247,48 @@ def backward_full(
         _mlp_backward(pc.enc, pipeline.encoder, d_z)
 
 
-def _init_layers(
-    prefix: str, dims: list[int], rng: np.random.Generator, dtype
-) -> list[Layer]:
+def _layers(prefix: str, dims: list[int], value) -> list[Layer]:
+    """One (weight, bias) pair per consecutive pair of widths in `dims`, each
+    array taken from value(name, shape), weight first."""
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        w = Param(f"{prefix}{i}.w", nn.glorot_uniform(rng, fan_in, fan_out, dtype))
-        b = Param(f"{prefix}{i}.b", np.zeros((1, fan_out), dtype=dtype))
-        layers.append((w, b))
+        w, b = f"{prefix}{i}.w", f"{prefix}{i}.b"
+        layers.append(
+            (Param(w, value(w, (fan_in, fan_out))), Param(b, value(b, (1, fan_out))))
+        )
     return layers
+
+
+def build_model(d_image, d_text, num_classes, hidden_dim, latent_dim, value) -> CobraModel:
+    """The model's layout; value(name, shape) gives each tensor, in params() order."""
+    h, z = hidden_dim, latent_dim
+
+    def pipeline(modality: str, d: int) -> ModalityPipeline:
+        return ModalityPipeline(
+            modality,
+            _layers(f"{modality}.enc", [d, h, h, z], value),
+            _layers(f"{modality}.dec", [z, h, h, d], value),
+            _layers(f"{modality}.proj", [z, num_classes], value),
+        )
+
+    return CobraModel(pipeline("image", d_image), pipeline("text", d_text))
+
+
+def build_head(dims: list[int], value) -> ClassifierHead:
+    """The fusion head's layout: one layer per consecutive pair of `dims`."""
+    return ClassifierHead(layers=_layers("head.fc", dims, value))
+
+
+def _fresh_values(seed: int, dtype):
+    """Glorot weights drawn in turn from the seed's init stream; zero biases."""
+    rng = nn.RngStreams(seed).get("init")
+
+    def value(name: str, shape: tuple[int, int]) -> np.ndarray:
+        if name.endswith(".b"):
+            return np.zeros(shape, dtype=dtype)
+        return nn.glorot_uniform(rng, *shape, dtype)
+
+    return value
 
 
 def init_model(
@@ -276,15 +308,9 @@ def init_model(
     for name, v in (("d_image", d_image), ("d_text", d_text), ("num_classes", num_classes)):
         if v < 1:
             raise ParameterError(f"{name} must be >= 1, got {v}")
-    rng = _init_stream(seed)
-
-    def build(modality: str, d: int) -> ModalityPipeline:
-        enc = _init_layers(f"{modality}.enc", [d, hidden_dim, hidden_dim, latent_dim], rng, dtype)
-        dec = _init_layers(f"{modality}.dec", [latent_dim, hidden_dim, hidden_dim, d], rng, dtype)
-        proj = _init_layers(f"{modality}.proj", [latent_dim, num_classes], rng, dtype)
-        return ModalityPipeline(modality, enc, dec, proj)
-
-    return CobraModel(build("image", d_image), build("text", d_text))
+    return build_model(
+        d_image, d_text, num_classes, hidden_dim, latent_dim, _fresh_values(seed, dtype)
+    )
 
 
 def init_head(
@@ -296,13 +322,6 @@ def init_head(
 ) -> ClassifierHead:
     if joint_dim < 1 or num_task_classes < 1:
         raise ParameterError("joint_dim and num_task_classes must be >= 1")
-    rng = _init_stream(seed)
-    layers = _init_layers(
-        "head.fc", [2 * joint_dim, *hidden, num_task_classes], rng, dtype
+    return build_head(
+        [2 * joint_dim, *hidden, num_task_classes], _fresh_values(seed, dtype)
     )
-    return ClassifierHead(layers=layers)
-
-
-def _init_stream(seed: int) -> np.random.Generator:
-    """The dedicated init stream for a seed (stream 0 of RngStreams)."""
-    return nn.RngStreams(seed).get("init")

@@ -101,17 +101,11 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return upstream * (x > 0.0)
 
 
-def dropout(x: np.ndarray, p: float, mode: str, rng: np.random.Generator):
-    """Inverted dropout: survivors scaled by 1/(1-p); eval is the identity.
-
-    Returns (y, mask); the backward pass is upstream * mask.
-    """
+def dropout(x: np.ndarray, p: float, rng: np.random.Generator):
+    """Inverted dropout, run in training forwards only: survivors scaled by
+    1/(1-p). Returns (y, mask); the backward pass is upstream * mask."""
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
-    if mode not in ("train", "eval"):
-        raise ParameterError(f"dropout mode must be train|eval, got {mode!r}")
-    if mode == "eval" or p == 0.0:
-        return x, np.ones_like(x)
     keep = rng.random(x.shape) >= p
     mask = keep.astype(x.dtype) / x.dtype.type(1.0 - p)
     return x * mask, mask

@@ -137,9 +137,7 @@ def train_step(state: TrainState, minibatch) -> LossBreakdown:
     x_i, y_i, x_t, y_t, _ = minibatch
     cfg = state.config
     dtype = state.model.dtype
-    cache = model_mod.forward_full(
-        state.model, x_i.astype(dtype), x_t.astype(dtype), mode="train"
-    )
+    cache = model_mod.forward_full(state.model, x_i.astype(dtype), x_t.astype(dtype))
     bd = losses.total_loss(cache, y_i, y_t, cfg, state.streams.get("negatives"))
     if not np.isfinite(bd.total):
         raise NumericError(
@@ -161,10 +159,7 @@ def validation_loss(
     compared on the same sets."""
     dtype = model.dtype
     cache = model_mod.forward_full(
-        model,
-        paired.image.features.astype(dtype),
-        paired.text.features.astype(dtype),
-        mode="eval",
+        model, paired.image.features.astype(dtype), paired.text.features.astype(dtype)
     )
     val_rng = streams.derive(4)
     return losses.total_loss(cache, paired.image.labels, paired.text.labels, cfg, val_rng).total

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -255,6 +256,25 @@ def test_load_rejects_extra_tensor(tmp_path):
     checkpoint.write_tensors(p, tensors)
     with pytest.raises(CheckpointError, match="rogue"):
         checkpoint.load_checkpoint(p)
+
+
+def test_load_rejects_misshapen_tensor(tmp_path):
+    p = tmp_path / "m.ckpt"
+    tensors = _model_tensors(tiny_model())
+    tensors["text.dec1.w"] = np.ones((6, 5))
+    checkpoint.write_tensors(p, tensors)
+    with pytest.raises(
+        CheckpointError, match=re.escape("tensor 'text.dec1.w' has shape (6, 5), expected (6, 6)")
+    ):
+        checkpoint.load_checkpoint(p)
+    head = model_mod.init_head(3, 4, seed=3, dtype=np.float64, hidden=(5, 4, 3))
+    tensors = _model_tensors(head)
+    tensors["head.fc2.w"] = np.ones((5, 3))
+    checkpoint.write_tensors(p, tensors)
+    with pytest.raises(
+        CheckpointError, match=re.escape("tensor 'head.fc2.w' has shape (5, 3), expected (4, 3)")
+    ):
+        checkpoint.load_head(p)
 
 
 def test_head_round_trip(tmp_path):

@@ -105,6 +105,14 @@ def test_load_rejects_trailing_rows(tmp_path):
     p.write_text("COBRA-FEAT 1 image 1 1 1\n0,1.0\n0,2.0\n")
     with pytest.raises(FormatError, match="trailing"):
         data.load_feature_file(p)
+    # only blank lines may follow the rows; the first other line is named
+    rows = "COBRA-FEAT 1 text 2 2 2\n0,1.0,2.0\n1,3.0,4.0\n"
+    for tail, lineno in ((" \t\n1,5,6\n", 5), ("\n\ngarbage here", 6)):
+        p.write_text(rows + tail)
+        with pytest.raises(FormatError, match=f"f.txt:{lineno}: trailing content after 2 rows"):
+            data.load_feature_file(p)
+    p.write_text(rows + "\n \n\t\n")
+    assert data.load_feature_file(p).labels.tolist() == [0, 1]
 
 
 def test_load_rejects_bad_token_with_lineno(tmp_path):

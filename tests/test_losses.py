@@ -432,7 +432,7 @@ def _forward(model, seed=0, n=4):
     rng = np.random.default_rng(seed)
     x_i = rng.normal(size=(n, model.image.input_dim))
     x_t = rng.normal(size=(n, model.text.input_dim))
-    return model_mod.forward_full(model, x_i, x_t, mode="eval")
+    return model_mod.forward_full(model, x_i, x_t)
 
 
 def test_total_loss_is_weighted_sum_of_components():

@@ -32,6 +32,23 @@ def test_init_seed_changes_weights():
     assert not np.array_equal(a.image.encoder[0][0].value, b.image.encoder[0][0].value)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_draws_glorot_weights_in_params_order(dtype):
+    """Each weight, in params() order, is byte for byte the next Glorot draw
+    from the seed's init stream, and each bias is zero."""
+    for built in (
+        model_mod.init_model(8, 6, 3, seed=7, dtype=dtype, hidden_dim=5, latent_dim=4),
+        model_mod.init_head(3, 4, seed=7, dtype=dtype, hidden=(5, 4, 3)),
+    ):
+        rng = nn.RngStreams(7).get("init")
+        for p in built.params():
+            if p.name.endswith(".w"):
+                want = nn.glorot_uniform(rng, *p.value.shape, dtype)
+            else:
+                want = np.zeros(p.value.shape, dtype)
+            assert p.value.dtype == dtype and p.value.tobytes() == want.tobytes(), p.name
+
+
 def test_init_biases_zero():
     m = model_mod.init_model(8, 6, 3, seed=0, hidden_dim=5, latent_dim=4)
     for p in m.params():
@@ -78,8 +95,8 @@ def test_forward_full_deterministic_in_eval():
     m = tiny_model()
     rng = np.random.default_rng(0)
     x_i, x_t = rng.normal(size=(3, 5)), rng.normal(size=(3, 4))
-    c1 = model_mod.forward_full(m, x_i, x_t, mode="eval")
-    c2 = model_mod.forward_full(m, x_i, x_t, mode="eval")
+    c1 = model_mod.forward_full(m, x_i, x_t)
+    c2 = model_mod.forward_full(m, x_i, x_t)
     assert np.array_equal(c1.image.o, c2.image.o)
     assert np.array_equal(c1.text.x_hat, c2.text.x_hat)
 
@@ -187,7 +204,7 @@ def test_head_shapes():
     head = model_mod.init_head(10, 7, seed=0)
     shapes = [w.value.shape for w, _ in head.layers]
     assert shapes == [(20, 512), (512, 128), (128, 64), (64, 7)]
-    assert head.dropout_p == (0.5, 0.5, 0.2)
+    assert model_mod.HEAD_DROPOUT == (0.5, 0.5, 0.2)
     assert head.num_classes == 7
 
 
@@ -213,6 +230,8 @@ def test_classify_rejects_row_mismatch():
     head = model_mod.init_head(3, 4, seed=0, hidden=(5, 4, 3))
     with pytest.raises(ShapeError):
         model_mod.classify_cached(head, np.zeros((2, 3)), np.zeros((3, 3))).output
+    with pytest.raises(ParameterError, match="bogus"):
+        model_mod.classify_cached(head, np.zeros((2, 3)), np.zeros((2, 3)), mode="bogus")
 
 
 def test_classify_backward_overwrites_stale_grads():

@@ -85,35 +85,28 @@ def test_relu_backward_nonfinite_upstream_stays_nonfinite():
     assert np.isnan(g[0, 0]) and np.isnan(g[0, 1]) and g[0, 2] == np.inf
 
 
-def test_dropout_eval_identity():
-    x = np.random.default_rng(0).normal(size=(4, 5))
-    y, mask = nn.dropout(x, 0.7, "eval", np.random.default_rng(1))
-    assert np.array_equal(y, x)
-    assert np.array_equal(mask, np.ones_like(x))
-
-
 def test_dropout_p_zero_identity():
     x = np.ones((3, 3))
-    y, _ = nn.dropout(x, 0.0, "train", np.random.default_rng(1))
+    y, _ = nn.dropout(x, 0.0, np.random.default_rng(1))
     assert np.array_equal(y, x)
 
 
 def test_dropout_survivor_fraction():
     x = np.ones((100, 1000))
-    _, mask = nn.dropout(x, 0.5, "train", np.random.default_rng(2))
+    _, mask = nn.dropout(x, 0.5, np.random.default_rng(2))
     assert abs(np.mean(mask > 0) - 0.5) < 0.01
 
 
 def test_dropout_invalid_p():
     with pytest.raises(ParameterError):
-        nn.dropout(np.ones((1, 1)), 1.0, "train", np.random.default_rng(0))
+        nn.dropout(np.ones((1, 1)), 1.0, np.random.default_rng(0))
     with pytest.raises(ParameterError):
-        nn.dropout(np.ones((1, 1)), -0.1, "train", np.random.default_rng(0))
+        nn.dropout(np.ones((1, 1)), -0.1, np.random.default_rng(0))
 
 
 def test_dropout_backward_linear_in_upstream():
     x = np.random.default_rng(3).normal(size=(5, 5))
-    _, mask = nn.dropout(x, 0.4, "train", np.random.default_rng(3))
+    _, mask = nn.dropout(x, 0.4, np.random.default_rng(3))
     u1 = np.random.default_rng(4).normal(size=(5, 5))
     u2 = np.random.default_rng(5).normal(size=(5, 5))
     assert np.allclose((u1 + 2 * u2) * mask, u1 * mask + 2 * (u2 * mask))

@@ -87,3 +87,32 @@ def test_every_public_definition_has_a_production_caller():
     unused = _public_definitions() - refs - set(NO_CALLER_ALLOWED)
     assert not unused, f"only tests use: {sorted(unused)}"
     assert set(NO_CALLER_ALLOWED) <= _public_definitions()
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """'module.function(param)' for each parameter of a module-level function
+    or method in the file that its body never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        functions += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+    unread = []
+    for fn in functions:
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {
+            node.id
+            for stmt in fn.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{path.stem}.{fn.name}({p.arg})" for p in params if p.arg not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    """A parameter no body reads is an option that changes nothing. Nested
+    closures are exempt: they follow a callback protocol, as setform's
+    block_loss(dots, anchor, cand) does without reading `anchor`."""
+    unread = [u for path in sorted(PACKAGE.glob("*.py")) for u in _unread_parameters(path)]
+    assert not unread, f"parameters never read: {unread}"
