@@ -3,7 +3,13 @@
 Feature file format (UTF-8 text):
     line 1: ``COBRA-FEAT 1 <modality> <n> <d> <C>``
     then n lines of ``<label>,<f1>,...,<fd>`` with base-10 integer labels and
-    decimal floats (shortest round-trip representation of 32-bit values).
+    each value cast to float32 and spelled as ``str(numpy.float32(v))``: the
+    shortest decimal that reads back to the same float32, the nearest to it
+    of those. On numpy 2.4 it is positional for 1e-4 <= |v| < 1e6, compared
+    in float64, with at least one digit on each side of the point (``-0.0``,
+    ``1.0``, ``0.00015``), and otherwise scientific with a sign and a
+    two-digit exponent (``1e-04``, ``-1.6777216e+07``). A value beyond
+    float32's range is a NumericError.
 
 Manifest format: line-based ``key=value`` with keys ``image_file``,
 ``text_file`` and ``name``; unknown keys are rejected. File paths are
@@ -15,13 +21,14 @@ for bytes that are not UTF-8.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, LabelError, PairingError
+from .errors import ConfigError, FormatError, LabelError, NumericError, PairingError
 
 MODALITIES = ("image", "text")
 MANIFEST_KEYS = ("image_file", "text_file", "name")
@@ -98,11 +105,182 @@ class PairedDataset:
 
 
 def write_feature_file(ds: FeatureDataset, path):
-    lines = [f"COBRA-FEAT 1 {ds.modality} {ds.n} {ds.dim} {ds.num_classes}"]
-    feats = ds.features.astype(np.float32)
-    for label, row in zip(ds.labels, feats):
-        lines.append(f"{int(label)}," + ",".join(str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Writes ``ds`` in the feature file format, each value spelled as
+    ``str(numpy.float32(v))``. A value beyond float32's range is a
+    NumericError, raised before the file is opened.
+
+    ``_format_rows`` formats ``_FORMAT_BLOCK`` values at a time in numpy,
+    for the values numpy spells positionally, 1e-4 <= |v| < 1e6, and 0.0.
+    Only the others, which numpy spells in scientific notation, keep a
+    per-value ``str()``.
+    """
+    with np.errstate(over="ignore"):
+        feats = np.ascontiguousarray(ds.features, dtype=np.float32)
+    bad = np.argwhere(~np.isfinite(feats))
+    if bad.size:
+        i, j = bad[0]
+        raise NumericError(
+            f"feature value {float(ds.features[i, j])!r} at row {i}, column {j} "
+            "is not a finite float32"
+        )
+    rows = max(1, _FORMAT_BLOCK // ds.dim)
+    with open(path, "wb") as fh:
+        fh.write(f"COBRA-FEAT 1 {ds.modality} {ds.n} {ds.dim} {ds.num_classes}\n".encode())
+        for start in range(0, ds.n, rows):
+            block = slice(start, start + rows)
+            fh.write(_format_rows(ds.labels[block], feats[block]))
+
+
+# ---------------------------------------------------------------- value text
+#
+# A finite float32 v = M * 2**(E - 150), with E its biased exponent and
+# 2**23 <= M < 2**24, reads back from any decimal strictly inside its rounding
+# interval v -+ 2**(E - 151). numpy prints the shortest such decimal, and of
+# those the one nearest v. With k = floor(log10 |v|), x = |v| * 10**(8 - k)
+# lies in [1e8, 1e9) and the interval scales to x -+ h, h = 2**(E - 151) *
+# 10**(8 - k). For -4 <= k <= 5 both are exact in float64: a 25-bit
+# significand times 5**12 fits in 53 bits. The decimal is then the multiple
+# of 10**j nearest x, for the largest j with a multiple of 10**j strictly
+# within h of x, a tie going to the even multiple, as numpy's does. Only the
+# quotients x / 10**j are rounded, and one misrounded near a half-way point
+# could pick the other of two nearest multiples: formatting every positive
+# float32 in [1e-4, 1e6) both ways found no value where this happens.
+
+_FORMAT_BLOCK = 8192  # values per block: float64 temporaries of 64 KB each
+_POW10 = np.array([float(10**j) for j in range(10)])
+_INV_POW10 = 1.0 / _POW10
+
+
+def _exp10_floor(e2: int) -> int:
+    """floor(log10(2**e2)), exactly."""
+    return len(str(2**e2)) - 1 if e2 >= 0 else -len(str(2**-e2))
+
+
+def _exponent_tables():
+    """Per biased exponent E, the power of ten |v| is compared with to find
+    k; per index 2E + (|v| >= that power): x's scale, h, 10**(5 - k),
+    10**(k + 4) and k's first row of ``_KEEP``. An index outside [1e-4, 1e6)
+    has scale 0 and h = 1, the layout of 0.0, so its values stay finite
+    until ``str()`` replaces them."""
+    above = np.ones(256)
+    scale, half, hi_div = np.zeros(512), np.ones(512), np.ones(512)
+    lo_mul, keep_row = np.zeros(512), np.full(512, 30, np.intp)
+    for e in range(1, 255):
+        k_lo = _exp10_floor(e - 127)
+        above[e] = float(f"1e{k_lo + 1}")
+        for c in (0, 1):
+            k, i = k_lo + c, 2 * e + c
+            if not -4 <= k <= 5:  # numpy 2.4's positional range
+                continue
+            scale[i] = float(f"1e{8 - k}")
+            half[i] = math.ldexp(scale[i], e - 151)
+            hi_div[i], lo_mul[i] = float(f"1e{5 - k}"), float(f"1e{k + 4}")
+            keep_row[i] = 10 * (k + 4)
+    return above, scale, half, hi_div, lo_mul, keep_row
+
+
+(_ABOVE, _SCALE, _HALF_ULP, _HI_DIV, _LO_MUL, _KEEP_ROW) = _exponent_tables()
+
+
+def _cell_tables():
+    """A value takes 24 cells, six uint32 words: a sign cell and the digits
+    at 10**5..10**3; the digits at 10**2..10**0 and the point; three words
+    of three fraction digits and a pad; three fraction digits and the
+    separator. ``_DIGITS`` holds the 1000 spellings of each word kind, found
+    at ``triplet + _WORD_KIND``. ``_KEEP[10 * (k + 4) + j]`` clears the
+    leading zeros of the integer part and the trailing zeros of the fraction
+    of a value with exponent k and last digit at 10**(k - 8 + j)."""
+    kinds = [b"\0%03d", b"%03d.", b"%03d\0", b"%03d,"]
+    digits = np.frombuffer(b"".join(w % i for w in kinds for i in range(1000)), np.uint32)
+    word_kind = np.array([[0], [1000], [2000], [2000], [2000], [3000]])
+    places = np.array([9, 5, 4, 3, 2, 1, 0, 9, -1, -2, -3, 9,
+                       -4, -5, -6, 9, -7, -8, -9, 9, -10, -11, -12, 9])  # 9: no digit
+    keep = np.zeros((100, 24), np.uint8)
+    for k in range(-4, 6):
+        for j in range(10):
+            # j = 9 is a round up to 10**(k + 1); it happens only for k < 0,
+            # as float32 holds 10**0 .. 10**10 exactly, so it adds no digit here
+            lead = max(k, 0)
+            last = min(k - 8 + j, -1)
+            kept = ((places <= lead) & (places >= last)) | (places == 9)
+            keep[10 * (k + 4) + j] = np.where(kept, 0xFF, 0)
+    return digits, word_kind, keep.view(np.uint32)
+
+
+_DIGITS, _WORD_KIND, _KEEP = _cell_tables()
+
+
+def _gap(x: np.ndarray, j: int, out=None) -> np.ndarray:
+    """|x - the multiple of 10**j nearest x|."""
+    t = np.multiply(x, _INV_POW10[j], out=out)
+    np.rint(t, out=t)
+    t *= _POW10[j]
+    np.subtract(x, t, out=t)
+    return np.abs(t, out=t)
+
+
+def _format_rows(labels: np.ndarray, values: np.ndarray) -> bytes:
+    """The lines ``<label>,<v1>,...,<vd>`` of a float32 block, as bytes. Each
+    line is laid out in fixed cells of a grid, with NUL bytes as padding,
+    which one ``bytes.translate`` removes."""
+    rows, d = values.shape
+    v = values.reshape(-1)
+    n = v.size
+    bits = v.view(np.uint32)
+    expo = (bits >> 23) & 0xFF
+    x = np.abs(v).astype(np.float64)
+    idx = 2 * expo.astype(np.intp) + (x >= np.take(_ABOVE, expo))
+    scale = np.take(_SCALE, idx)
+    x *= scale
+    half = np.take(_HALF_ULP, idx)
+
+    # the largest j with a multiple of 10**j within h of x. Every smaller j
+    # has one too, so j counts the powers that do; on synthetic data 3% of
+    # the values reach 10**3, and only those try the higher powers
+    t = np.empty(n)
+    places = np.zeros(n, np.intp)
+    for j in (1, 2, 3):
+        places += _gap(x, j, t) < half
+    rest = np.flatnonzero(places == 3)
+    for j in range(4, 10):
+        rest = rest[_gap(x[rest], j) < half[rest]]
+        places[rest] += 1
+    p = np.take(_POW10, places)
+    digits = np.rint(x / p) * p
+    per_value = (scale == 0) & (v != 0)  # outside [1e-4, 1e6), 0.0 aside
+
+    # |v| * 1e12 as two nine-digit halves, each three triplets of digits
+    hi_div = np.take(_HI_DIV, idx)
+    high = np.floor(digits / hi_div)
+    halves = np.stack([high, (digits - high * hi_div) * np.take(_LO_MUL, idx)])
+    thousands = np.floor(halves / 1e3)
+    millions = np.floor(halves / 1e6)
+    triplets = np.stack([millions, thousands - 1e3 * millions, halves - 1e3 * thousands], 1)
+    words = np.take(_DIGITS, triplets.reshape(6, n).astype(np.intp) + _WORD_KIND)
+
+    width = len(str(labels.max()))
+    label_words = (width + 4) // 4  # the label, its comma and leading pads
+    grid = np.empty((rows, label_words + 6 * d), np.uint32)
+    cells = grid[:, label_words:].reshape(rows, d, 6)
+    cells[...] = words.reshape(6, rows, d).transpose(1, 2, 0)
+    cells &= np.take(_KEEP, np.take(_KEEP_ROW, idx) + places, axis=0).reshape(rows, d, 6)
+    line = grid.view(np.uint8)
+    line[:, 4 * label_words :: 24] = (bits >> 31).reshape(rows, d) * ord("-")
+    for i in np.flatnonzero(per_value):
+        text = np.frombuffer(str(v[i]).encode(), np.uint8)
+        row, col = divmod(int(i), d)
+        cell = line[row, 4 * (label_words + 6 * col) :][:23]
+        cell[:] = 0
+        cell[: text.size] = text
+
+    label = line[:, : 4 * label_words]
+    label[:] = 0
+    label_digits = labels[:, None] // 10 ** np.arange(width - 1, -1, -1)
+    label[:, -1 - width : -1] = np.where(label_digits > 0, label_digits % 10 + ord("0"), 0)
+    label[:, -2] = labels % 10 + ord("0")
+    label[:, -1] = ord(",")
+    line[:, -1] = ord("\n")
+    return line.tobytes().translate(None, b"\0")
 
 
 def read_text(path) -> str:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import model as model_mod
 from .data import FeatureDataset, PairedDataset, write_feature_file
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .model import ClassifierHead, CobraModel
 
 DIRECTIONS = ("ITT", "TTI")
@@ -265,15 +265,21 @@ def classification_accuracy(
 
 
 def export_embeddings(model: CobraModel, paired: PairedDataset, out_dir):
-    """Writes both modalities' joint embeddings as feature files; returns
-    (image_path, text_path)."""
+    """Writes both modalities' joint embeddings, cast to float32, as feature
+    files; returns (image_path, text_path). Both are embedded and checked
+    before either is written: a non-finite embedding is a NumericError."""
+    embedded = []
+    for ds in (paired.image, paired.text):
+        with np.errstate(over="ignore"):
+            emb = embed_dataset(model, ds).astype(np.float32)
+        if not np.isfinite(emb).all():
+            raise NumericError(f"{ds.modality} embeddings contain non-finite values")
+        embedded.append(FeatureDataset(ds.modality, emb, ds.labels, ds.num_classes))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for ds in (paired.image, paired.text):
-        emb = embed_dataset(model, ds).astype(np.float32)
-        out = FeatureDataset(ds.modality, emb, ds.labels, ds.num_classes)
+    for ds in embedded:
         path = out_dir / f"embeddings_{ds.modality}.txt"
-        write_feature_file(out, path)
+        write_feature_file(ds, path)
         paths.append(path)
     return tuple(paths)

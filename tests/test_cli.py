@@ -4,9 +4,11 @@ import argparse
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
-from cobra import cli
+import feature_file_oracle
+from cobra import checkpoint, cli, data, evaluation
 from cobra.data import SyntheticSpec
 from cobra.losses import LossWeights
 from cobra.training import TrainConfig
@@ -417,6 +419,42 @@ def test_embed_produces_feature_files(run_dir, dataset, tmp_path, capsys):
     emb = data.load_feature_file(out / "embeddings_image.txt")
     assert emb.dim == 3  # joint dim == class count
     assert data.load_feature_file(out / "embeddings_text.txt").dim == 3
+
+
+def test_synth_and_embed_files_match_oracle(run_dir, dataset, tmp_path, capsys):
+    """The feature files of synth and embed are the per-value writer's bytes."""
+    spec = SyntheticSpec(classes=3, d_image=8, d_text=6, pairs_per_class=12, seed=1)
+    parts = data.split(data.generate_synthetic(spec), [0.7, 0.15, 0.15], 1)
+    for name, part in zip(("train", "val", "test"), parts):
+        for ds in (part.image, part.text):
+            written = (dataset / f"{name}_{ds.modality}.txt").read_bytes()
+            assert written == feature_file_oracle.feature_file_bytes(ds)
+    out = tmp_path / "emb"
+    assert run_cli(
+        capsys, "embed", "--manifest", str(dataset / "test.manifest"),
+        "--checkpoint", str(run_dir / "final.ckpt"), "--out", str(out),
+    )[0] == 0
+    model = checkpoint.load_checkpoint(run_dir / "final.ckpt")
+    for ds in (parts[2].image, parts[2].text):
+        emb = evaluation.embed_dataset(model, ds).astype(np.float32)
+        want = data.FeatureDataset(ds.modality, emb, ds.labels, ds.num_classes)
+        written = (out / f"embeddings_{ds.modality}.txt").read_bytes()
+        assert written == feature_file_oracle.feature_file_bytes(want)
+
+
+def test_embed_non_finite_embeddings_exit_4_and_write_nothing(run_dir, dataset, tmp_path, capsys):
+    model = checkpoint.load_checkpoint(run_dir / "final.ckpt")
+    next(p for p in model.params() if p.name == "text.proj0.w").value[0, 0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    checkpoint.save_checkpoint(model, bad)
+    out = tmp_path / "emb"
+    code, _, err = run_cli(
+        capsys, "embed", "--manifest", str(dataset / "test.manifest"),
+        "--checkpoint", str(bad), "--out", str(out),
+    )
+    assert code == 4
+    assert "numeric halt: text embeddings contain non-finite values" in err
+    assert list(out.glob("*")) == []
 
 
 def test_end_to_end_determinism(dataset, tmp_path, capsys):

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobra import data
-from cobra.errors import ConfigError, FormatError, LabelError, PairingError
+from cobra.errors import ConfigError, FormatError, LabelError, NumericError, PairingError
 
+import feature_file_oracle
 from conftest import tiny_paired
 
 
@@ -57,9 +58,84 @@ def test_feature_file_round_trip_property(seed, tmp_path_factory):
     ds = _random_ds(np.random.default_rng(seed))
     path = tmp_path_factory.mktemp("ff") / "f.txt"
     data.write_feature_file(ds, path)
+    assert path.read_bytes() == feature_file_oracle.feature_file_bytes(ds)
     back = data.load_feature_file(path)
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.labels, ds.labels)
+
+
+def _as_rows(values, d: int, rng) -> data.FeatureDataset:
+    """The values, padded with 1.0 to whole rows of d, under labels of one to
+    six digits."""
+    values = np.asarray(values)
+    values = np.concatenate([values, np.ones(-values.size % d, values.dtype)])
+    n = values.size // d
+    return data.FeatureDataset("image", values.reshape(n, d), rng.integers(0, 10**6, n), 10**6)
+
+
+def _edge_values() -> np.ndarray:
+    """±0.0, every power of two, the powers of ten and their five neighbours
+    on each side (1e-4 and 1e6 among them), the integers up to ±3000, and the
+    float32 maximum and smallest subnormal."""
+    f32 = np.float32
+    tens = np.array([float(f"1e{e}") for e in range(-45, 39)], f32).view(np.int32)
+    near_tens = (tens[:, None] + np.arange(-5, 6, dtype=np.int32)).ravel().view(f32)
+    positive = np.concatenate([
+        np.ldexp(f32(1), np.arange(-149, 128)).astype(f32),
+        near_tens[near_tens > 0],
+        np.arange(1, 3001, dtype=f32),
+        [np.finfo(f32).max, np.finfo(f32).smallest_subnormal],
+    ])
+    return np.concatenate([[f32(0.0), f32(-0.0)], positive, -positive])
+
+
+def test_write_matches_oracle_on_edge_values(tmp_path):
+    ds = _as_rows(_edge_values(), 64, np.random.default_rng(0))
+    data.write_feature_file(ds, tmp_path / "f.txt")
+    assert (tmp_path / "f.txt").read_bytes() == feature_file_oracle.feature_file_bytes(ds)
+    assert np.array_equal(data.load_feature_file(tmp_path / "f.txt").features.view(np.uint32),
+                          ds.features.view(np.uint32))
+
+
+@pytest.mark.parametrize("d", [64, data._FORMAT_BLOCK + 7])
+def test_write_matches_oracle_on_random_bit_patterns(d, tmp_path):
+    """210k random bit patterns, about 209k finite: blocks of many rows, and
+    rows longer than a block."""
+    rng = np.random.default_rng(d)
+    values = rng.integers(0, 2**32, 210_000, dtype=np.uint32).view(np.float32)
+    ds = _as_rows(values[np.isfinite(values)], d, rng)
+    data.write_feature_file(ds, tmp_path / "f.txt")
+    assert (tmp_path / "f.txt").read_bytes() == feature_file_oracle.feature_file_bytes(ds)
+
+
+def test_write_matches_oracle_on_float64_that_rounds_to_float32(tmp_path):
+    """float64 values are cast to float32 first, ties to even, and values just
+    above float32's largest round down to it."""
+    rng = np.random.default_rng(1)
+    f32 = rng.normal(scale=100.0, size=3000).astype(np.float32)
+    up = np.nextafter(f32, np.float32(np.inf))
+    midpoints = (f32.astype(np.float64) + up) / 2
+    top = float(np.finfo(np.float32).max)
+    values = np.concatenate([
+        rng.normal(size=3000) * 10.0 ** rng.integers(-6, 8, 3000),
+        midpoints,
+        [top * (1 + 2.0**-25), -top * (1 + 2.0**-25), 1e-50, -1e-50],
+    ])
+    ds = _as_rows(values, 16, rng)
+    assert ds.features.dtype == np.float64
+    data.write_feature_file(ds, tmp_path / "f.txt")
+    assert (tmp_path / "f.txt").read_bytes() == feature_file_oracle.feature_file_bytes(ds)
+
+
+def test_write_rejects_value_beyond_float32_before_opening(tmp_path):
+    ds = data.FeatureDataset("image", np.array([[1.0, 1e39], [2.0, 3.0]]), [0, 1], 2)
+    kept = tmp_path / "kept.txt"
+    kept.write_bytes(b"old contents")
+    for path in (kept, tmp_path / "new.txt"):
+        with pytest.raises(NumericError, match=r"1e\+39 at row 0, column 1"):
+            data.write_feature_file(ds, path)
+    assert kept.read_bytes() == b"old contents"
+    assert not (tmp_path / "new.txt").exists()
 
 
 def test_load_rejects_bad_header(tmp_path):
