@@ -145,9 +145,14 @@ def average_precision(relevance) -> float | np.ndarray:
 
 
 def embed_dataset(model: CobraModel, ds: FeatureDataset) -> np.ndarray:
+    """Joint embeddings of one modality; a non-finite one is a NumericError,
+    so no score is computed from it."""
     pipeline = model.pipeline(ds.modality)
     x = ds.features.astype(model.dtype, copy=False)
-    return model_mod.project(pipeline, model_mod.encode(pipeline, x))
+    emb = model_mod.project(pipeline, model_mod.encode(pipeline, x))
+    if not np.isfinite(emb).all():
+        raise NumericError(f"{ds.modality} embeddings contain non-finite values")
+    return emb
 
 
 def _check_options(zero_relevant: str, map_at: int | None):
@@ -267,13 +272,15 @@ def classification_accuracy(
 def export_embeddings(model: CobraModel, paired: PairedDataset, out_dir):
     """Writes both modalities' joint embeddings, cast to float32, as feature
     files; returns (image_path, text_path). Both are embedded and checked
-    before either is written: a non-finite embedding is a NumericError."""
+    before either is written: a non-finite embedding, or one beyond
+    float32's range, is a NumericError."""
     embedded = []
     for ds in (paired.image, paired.text):
+        emb = embed_dataset(model, ds)
         with np.errstate(over="ignore"):
-            emb = embed_dataset(model, ds).astype(np.float32)
+            emb = emb.astype(np.float32)
         if not np.isfinite(emb).all():
-            raise NumericError(f"{ds.modality} embeddings contain non-finite values")
+            raise NumericError(f"{ds.modality} embeddings overflow float32")
         embedded.append(FeatureDataset(ds.modality, emb, ds.labels, ds.num_classes))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, losses, model as model_mod
+from . import data, evaluation, losses, model as model_mod
 from .checkpoint import save_checkpoint
 from .data import PairedDataset
 from .errors import ConfigError, LabelError, NumericError
@@ -175,7 +175,9 @@ def train(
 ) -> TrainResult:
     """Runs the full training loop; writes best.ckpt / final.ckpt when
     out_dir is given, emits one epoch record per epoch and then one record
-    naming the epoch with the lowest validation loss."""
+    naming the epoch with the lowest validation loss. A non-finite training
+    or validation loss halts with a NumericError, after that epoch's record
+    when it is the validation loss."""
     if train_pair.num_classes != val_pair.num_classes:
         raise ConfigError("train and validation class counts differ")
     if (
@@ -226,6 +228,8 @@ def train(
         )
         reports.append(report)
         _emit(report.record(), echo, log_stream)
+        if not np.isfinite(val_total):
+            raise NumericError(f"non-finite validation loss at epoch {epoch}")
 
         if val_total < state.best_val:
             state.best_val = val_total
@@ -264,6 +268,47 @@ def _emit(line: str, echo: bool, log_stream):
     if log_stream is not None:
         log_stream.write(line + "\n")
         log_stream.flush()
+
+
+# The data contrastive_ablation draws unless given another spec
+ABLATION_SPEC = data.SyntheticSpec(
+    classes=5, d_image=16, d_text=12, pairs_per_class=30, sigma=0.5
+)
+
+
+def contrastive_ablation(
+    spec: data.SyntheticSpec = ABLATION_SPEC,
+    seeds: int = 5,
+    epochs: int = 6,
+    batch: int = 32,
+    lambda_c: float = 0.1,
+) -> tuple[list[tuple[float, float]], int]:
+    """Held-out retrieval mAP of training with the contrastive weight
+    `lambda_c` and without it, each other setting at TrainConfig's default.
+
+    Seed k splits the data drawn from `spec` 0.8/0.2 and trains both arms on
+    the 0.8 part with seed k. Returns the per-seed (map_with, map_without)
+    pairs and the number of seeds where map_with >= map_without (ties win).
+
+    The 0.2 test part is also `train`'s validation set. That does not leak:
+    `train` returns the last epoch's model, and the validation loss only
+    chooses the epoch best.ckpt holds, which is not written here.
+    """
+    paired = data.generate_synthetic(spec)
+    scores = []
+    for seed in range(seeds):
+        train_set, test_set = data.split(paired, [0.8, 0.2], seed=seed)
+
+        def held_out_map(weight: float) -> float:
+            cfg = TrainConfig(
+                epochs=epochs, batch=batch, seed=seed, weights=LossWeights(lambda_c=weight)
+            )
+            trained = train(train_set, test_set, cfg, echo=False).model
+            return evaluation.retrieval_report(trained, test_set).map_avg
+
+        scores.append((held_out_map(lambda_c), held_out_map(0.0)))
+    wins = sum(with_c >= without_c for with_c, without_c in scores)
+    return scores, wins
 
 
 @dataclass

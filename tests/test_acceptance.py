@@ -20,7 +20,7 @@ from cobra import (
     losses,
     training,
 )
-from cobra.losses import ContrastiveSets, LossWeights
+from cobra.losses import ContrastiveSets
 from cobra.training import HeadConfig, TrainConfig
 
 from contrastive_oracle import NoiseModel, nce_posterior
@@ -251,31 +251,10 @@ def test_criterion_7_end_to_end_determinism(capsys, tmp_path):
 
 
 def test_criterion_8_contrastive_ablation(capsys):
-    spec = data.SyntheticSpec(classes=5, d_image=16, d_text=12, pairs_per_class=30, sigma=0.5)
-    paired = data.generate_synthetic(spec)
-    wins = 0
-    scores = []
-    for seed in range(5):
-        train_set, test_set = data.split(paired, [0.8, 0.2], seed=seed)
-
-        def run_map(lambda_c):
-            cfg = TrainConfig(
-                epochs=6,
-                batch=32,
-                seed=seed,
-                weights=LossWeights(1.0, 1.0, 1.0, lambda_c),
-            )
-            result = training.train(train_set, test_set, cfg, echo=False)
-            return evaluation.retrieval_report(result.model, test_set).map_avg
-
-        with_c = run_map(0.1)
-        without_c = run_map(0.0)
-        scores.append((with_c, without_c))
-        if with_c >= without_c:  # ties count in favour
-            wins += 1
+    scores, wins = training.contrastive_ablation()
     ok = wins >= 4
     detail = " ".join(f"{a:.3f}/{b:.3f}" for a, b in scores)
-    report(capsys, "8 contrastive-ablation", ok, f"(wins={wins}/5: {detail})")
+    report(capsys, "8 contrastive-ablation", ok, f"(wins={wins}/{len(scores)}: {detail})")
 
 
 # ------------------------------------------------------------------ 9

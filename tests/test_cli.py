@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import feature_file_oracle
-from cobra import checkpoint, cli, data, evaluation
+from cobra import checkpoint, cli, data, evaluation, model as model_mod
 from cobra.data import SyntheticSpec
 from cobra.losses import LossWeights
 from cobra.training import TrainConfig
@@ -443,18 +443,52 @@ def test_synth_and_embed_files_match_oracle(run_dir, dataset, tmp_path, capsys):
 
 
 def test_embed_non_finite_embeddings_exit_4_and_write_nothing(run_dir, dataset, tmp_path, capsys):
+    """Every command that embeds a checkpoint halts on a non-finite
+    embedding: nothing is written or scored."""
     model = checkpoint.load_checkpoint(run_dir / "final.ckpt")
     next(p for p in model.params() if p.name == "text.proj0.w").value[0, 0] = np.nan
     bad = tmp_path / "nan.ckpt"
     checkpoint.save_checkpoint(model, bad)
+    head = tmp_path / "head.ckpt"
+    checkpoint.save_checkpoint(model_mod.init_head(model.joint_dim, 3, seed=0), head)
     out = tmp_path / "emb"
-    code, _, err = run_cli(
-        capsys, "embed", "--manifest", str(dataset / "test.manifest"),
-        "--checkpoint", str(bad), "--out", str(out),
-    )
-    assert code == 4
-    assert "numeric halt: text embeddings contain non-finite values" in err
+    for extra in (
+        ["embed", "--out", str(out)],
+        ["eval-retrieval"],
+        ["eval-classify", "--head-checkpoint", str(head)],
+    ):
+        code, stdout, err = run_cli(
+            capsys, *extra, "--manifest", str(dataset / "test.manifest"),
+            "--checkpoint", str(bad),
+        )
+        assert code == 4, extra[0]
+        assert stdout == ""
+        assert "numeric halt: text embeddings contain non-finite values" in err
     assert list(out.glob("*")) == []
+
+
+def test_train_diverged_validation_loss_exit_4(tmp_path, capsys):
+    """A run whose validation loss overflows halts with exit 4 after that
+    epoch's record, with no best_epoch record and no final.ckpt."""
+    ds = tmp_path / "ds"
+    assert run_cli(
+        capsys, "synth", "--classes", "5", "--pairs-per-class", "60", "--sigma", "0.8",
+        "--seed", "3", "--split", "0.6,0.2,0.2", "--out", str(ds),
+    )[0] == 0
+    run = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(
+            capsys, "train", "--manifest", str(ds / "train.manifest"),
+            "--val-manifest", str(ds / "val.manifest"), "--out", str(run),
+            "--epochs", "3", "--batch", "128", "--lambda-c", "0",
+        )
+    assert code == 4
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["epoch=1", "epoch=2", "epoch=3"]
+    assert lines[-1].endswith("val_total=inf clamped=0")
+    assert "numeric halt: non-finite validation loss at epoch 3" in err
+    assert (run / "run.log").read_text().splitlines()[-1] == lines[-1]
+    assert not (run / "final.ckpt").exists()
 
 
 def test_end_to_end_determinism(dataset, tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobra import data, evaluation, model as model_mod
-from cobra.errors import ConfigError
+from cobra.errors import ConfigError, NumericError
 
 import retrieval_oracle
 from conftest import tiny_model, tiny_paired
@@ -385,3 +385,17 @@ def test_export_embeddings_round_trip(tmp_path):
     assert np.array_equal(back_i.labels, paired.labels)
     want = evaluation.embed_dataset(m, paired.image).astype(np.float32)
     assert np.array_equal(back_i.features, want)
+
+
+def test_export_embeddings_halts_on_float32_overflow_and_writes_nothing(tmp_path):
+    # finite in the float64 model, so embed_dataset passes them; beyond
+    # float32's range once cast for the file
+    paired = tiny_paired(classes=3, per_class=4)
+    m = tiny_model()
+    for p in m.image.projection[0]:
+        p.value *= 1e40
+    assert np.isfinite(evaluation.embed_dataset(m, paired.image)).all()
+    out = tmp_path / "emb"
+    with pytest.raises(NumericError, match="image embeddings overflow float32"):
+        evaluation.export_embeddings(m, paired, out)
+    assert not out.exists()

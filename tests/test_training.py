@@ -6,7 +6,7 @@ import pytest
 
 import train_step_oracle as oracle
 from cobra import checkpoint, data, model as model_mod, nn, training
-from cobra.errors import ConfigError, LabelError
+from cobra.errors import ConfigError, LabelError, NumericError
 from cobra.losses import LossWeights
 from cobra.nn import RngStreams
 from cobra.training import HeadConfig, TrainConfig, softmax_cross_entropy
@@ -153,6 +153,24 @@ def test_train_records_best_epoch(tmp_path, capsys, monkeypatch):
     assert log.getvalue().splitlines()[-1] == want
     assert sum(line.startswith("best_epoch=") for line in log.getvalue().splitlines()) == 1
     assert result.best_path == str(tmp_path / "best.ckpt")
+
+
+def test_train_halts_on_non_finite_validation_loss_at_first_epoch(tmp_path, monkeypatch):
+    # no epoch is finite: the epoch's record is written, then the run halts
+    # before any checkpoint or best_epoch record claims a best model
+    monkeypatch.setattr(training, "validation_loss", lambda *a: float("nan"))
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    train_pair, val_pair = data.split(paired, [0.8, 0.2], seed=0)
+    log = io.StringIO()
+    with pytest.raises(NumericError, match="non-finite validation loss at epoch 1"):
+        training.train(
+            train_pair, val_pair, small_config(epochs=3), out_dir=tmp_path,
+            log_stream=log, echo=False,
+        )
+    lines = log.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("epoch=1 ")
+    assert "val_total=nan" in lines[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_records_best_epoch_without_out_dir():
