@@ -197,7 +197,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradcheck.run_gradcheck(seed=args.seed, corrupt=args.corrupt)
+    results = gradcheck.run_gradcheck(seed=args.seed)
     ok = True
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -254,12 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     gp = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     gp.add_argument("--seed", type=int, default=0)
-    gp.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
     gp.set_defaults(func=cmd_gradcheck)
     return p
 
 
-def main(argv=None) -> int:
+def main(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -276,7 +275,7 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
 
 
 if __name__ == "__main__":

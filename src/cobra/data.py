@@ -42,18 +42,24 @@ class FeatureDataset:
     num_classes: int
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.modality not in MODALITIES:
             raise ConfigError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
         n, d = self.features.shape
         if n < 1 or d < 1:
             raise ConfigError(f"feature matrix must be at least 1x1, got {n}x{d}")
-        if self.labels.shape != (n,):
-            raise ConfigError(f"{self.labels.shape[0]} labels for {n} rows")
+        if labels.shape != (n,):
+            raise ConfigError(f"labels of shape {labels.shape} for {n} rows")
         if not np.isfinite(self.features).all():
             raise ConfigError("features contain non-finite values")
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise LabelError(f"labels must lie in [0, {self.num_classes})")
+        # checked before the int64 cast, which would truncate a fractional
+        # label; NaN fails every comparison, and +-inf one of the bounds
+        ok = (labels >= 0) & (labels < self.num_classes) & (np.floor(labels) == labels)
+        if not ok.all():
+            raise LabelError(
+                f"label {labels[~ok][0]} is not an integer in [0, {self.num_classes})"
+            )
+        self.labels = labels.astype(np.int64)
 
     @property
     def n(self) -> int:

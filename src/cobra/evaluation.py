@@ -155,15 +155,6 @@ def embed_dataset(model: CobraModel, ds: FeatureDataset) -> np.ndarray:
     return emb
 
 
-def _check_options(zero_relevant: str, map_at: int | None):
-    if zero_relevant not in ZERO_RELEVANT:
-        raise ConfigError(
-            f"zero_relevant must be one of {ZERO_RELEVANT}, got {zero_relevant!r}"
-        )
-    if map_at is not None and map_at < 1:
-        raise ConfigError(f"map_at must be at least 1, got {map_at}")
-
-
 def _fragment(
     direction: str,
     q_emb: np.ndarray,
@@ -174,8 +165,6 @@ def _fragment(
     map_at: int | None,
 ) -> RetrievalFragment:
     """Scores one direction, ranking _QUERY_BLOCK queries at a time."""
-    if g_emb.shape[0] == 0:
-        raise ConfigError("empty gallery")
     sims = similarity_matrix(q_emb, g_emb)
     n = q_emb.shape[0]
     aps = np.zeros(n)
@@ -197,37 +186,6 @@ def _fragment(
     )
 
 
-def mean_average_precision(
-    model: CobraModel,
-    query_set: FeatureDataset,
-    gallery_set: FeatureDataset,
-    direction: str,
-    zero_relevant: str = "exclude",
-    map_at: int | None = None,
-) -> RetrievalFragment:
-    """mAP of one retrieval direction over encode-then-project embeddings.
-
-    map_at (at least 1) truncates each ranked list to its top k before
-    scoring; queries with no relevant item in the (possibly truncated) list
-    follow the zero_relevant convention. No command calls this:
-    retrieval_report scores paired sets. It stays as the one entry point for
-    a query set and a gallery that are not pairs, which is how the oracle
-    tests reach queries with no relevant item without map_at.
-    """
-    if direction not in DIRECTIONS:
-        raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    _check_options(zero_relevant, map_at)
-    return _fragment(
-        direction,
-        embed_dataset(model, query_set),
-        embed_dataset(model, gallery_set),
-        query_set.labels,
-        gallery_set.labels,
-        zero_relevant,
-        map_at,
-    )
-
-
 def retrieval_report(
     model: CobraModel,
     paired: PairedDataset,
@@ -235,8 +193,17 @@ def retrieval_report(
     map_at: int | None = None,
 ) -> RetrievalReport:
     """Both directions: ITT queries images against the text gallery, TTI the
-    reverse; map_avg is their mean. Each modality is embedded once."""
-    _check_options(zero_relevant, map_at)
+    reverse; map_avg is their mean. Each modality is embedded once.
+
+    map_at (at least 1) truncates each ranked list to its top k before
+    scoring; queries with no relevant item in the (possibly truncated) list
+    follow the zero_relevant convention."""
+    if zero_relevant not in ZERO_RELEVANT:
+        raise ConfigError(
+            f"zero_relevant must be one of {ZERO_RELEVANT}, got {zero_relevant!r}"
+        )
+    if map_at is not None and map_at < 1:
+        raise ConfigError(f"map_at must be at least 1, got {map_at}")
     image, text = paired.image, paired.text
     o_image, o_text = embed_dataset(model, image), embed_dataset(model, text)
     itt = _fragment(
@@ -265,7 +232,7 @@ def classification_accuracy(
         raise ConfigError(f"{labels.shape[0]} labels for {paired.n_pairs} pairs")
     o_image = embed_dataset(model, paired.image)
     o_text = embed_dataset(model, paired.text)
-    logits = model_mod.classify_cached(head, o_text, o_image, mode="eval").output
+    logits = model_mod.classify_cached(head, o_text, o_image).output
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

@@ -29,12 +29,9 @@ class CheckResult:
         return self.max_rel_err < THRESHOLD
 
 
-def _compare(name: str, analytic: dict, f, params, corrupt: str | None) -> CheckResult:
+def _compare(name: str, analytic: dict, f, params) -> CheckResult:
     """Max relative error of `analytic` (param name -> gradient) against the
-    central difference of `f` over `params`; the gradient named `corrupt`, if
-    any, is broken first."""
-    if corrupt in analytic:
-        analytic[corrupt] = analytic[corrupt] + 1.0
+    central difference of `f` over `params`."""
     numeric = finite_diff_grad(f, params, epsilon=EPSILON)
     err = max(max_rel_err(analytic[n], numeric[n]) for n in numeric)
     return CheckResult(name=name, max_rel_err=err)
@@ -62,9 +59,7 @@ def _component_config(component: str, **settings) -> TrainConfig:
     return TrainConfig(weights=LossWeights(**kw), n_negatives=3, **settings)
 
 
-def _check_model_loss(
-    name: str, cfg: TrainConfig, seed: int, corrupt: str | None
-) -> CheckResult:
+def _check_model_loss(name: str, cfg: TrainConfig, seed: int) -> CheckResult:
     model, x_i, x_t, y = _toy_setup(seed)
 
     def breakdown():
@@ -78,12 +73,10 @@ def _check_model_loss(
         model, cache, bd.d_o_image, bd.d_o_text, bd.d_xhat_image, bd.d_xhat_text
     )
     analytic = {p.name: p.grad for p in model.params()}
-    return _compare(name, analytic, lambda: breakdown()[1].total, model.params(), corrupt)
+    return _compare(name, analytic, lambda: breakdown()[1].total, model.params())
 
 
-def _check_literal_contrastive(
-    name: str, seed: int, corrupt: str | None, contrastive_variant: str
-) -> CheckResult:
+def _check_literal_contrastive(name: str, seed: int, contrastive_variant: str) -> CheckResult:
     """The literal setform/NCE forms on joint embeddings drawn from the
     positive orthant, so every dot product stays far above CLAMP_FLOOR."""
     rng = np.random.default_rng(seed)
@@ -101,7 +94,7 @@ def _check_literal_contrastive(
 
     _, g_i, g_t = loss()
     analytic = {"o_image": g_i, "o_text": g_t}
-    return _compare(name, analytic, lambda: loss()[0], [o_i, o_t], corrupt)
+    return _compare(name, analytic, lambda: loss()[0], [o_i, o_t])
 
 
 def _check_affine(seed: int) -> CheckResult:
@@ -117,11 +110,10 @@ def _check_affine(seed: int) -> CheckResult:
         {"affine.w": w.grad, "affine.b": b.grad},
         lambda: float(np.sum(affine_forward(x, w.value, b.value) * upstream)),
         [w, b],
-        None,
     )
 
 
-def _check_head(seed: int, corrupt: str | None) -> CheckResult:
+def _check_head(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     head = model_mod.init_head(3, 3, seed=seed, dtype=np.float64, hidden=(5, 4, 3))
     for p in head.params():
@@ -131,34 +123,25 @@ def _check_head(seed: int, corrupt: str | None) -> CheckResult:
     y = np.array([0, 1, 2, 1])
 
     def forward():
-        hc = model_mod.classify_cached(head, o_t, o_i, mode="eval")
+        hc = model_mod.classify_cached(head, o_t, o_i)
         return hc, softmax_cross_entropy(hc.output, y)
 
     hc, (_, d_logits) = forward()
     model_mod.classify_backward(head, hc, d_logits)
     analytic = {p.name: p.grad for p in head.params()}
-    return _compare(
-        "classifier_cross_entropy", analytic, lambda: forward()[1][0], head.params(), corrupt
-    )
+    return _compare("classifier_cross_entropy", analytic, lambda: forward()[1][0], head.params())
 
 
-def run_gradcheck(seed: int = 0, corrupt: str | None = None) -> list[CheckResult]:
-    """Every loss component plus the layer primitives and classifier head.
-
-    `corrupt` names a param whose analytic gradient is deliberately broken;
-    test hook for the failure path.
-    """
+def run_gradcheck(seed: int = 0) -> list[CheckResult]:
+    """Every loss component plus the layer primitives and classifier head."""
     results = [_check_affine(seed)]
     for comp in ("r", "m", "s"):
-        results.append(
-            _check_model_loss(f"loss_{comp}", _component_config(comp), seed, corrupt)
-        )
+        results.append(_check_model_loss(f"loss_{comp}", _component_config(comp), seed))
     results.append(
         _check_model_loss(
             "loss_c_setform_exp",
             _component_config("c", contrastive_variant="setform", score_mode="exp"),
             seed,
-            corrupt,
         )
     )
     results.append(
@@ -166,13 +149,10 @@ def run_gradcheck(seed: int = 0, corrupt: str | None = None) -> list[CheckResult
             "loss_c_nce_log",
             _component_config("c", contrastive_variant="nce", nce_form="log"),
             seed,
-            corrupt,
         )
     )
-    results.append(
-        _check_literal_contrastive("loss_c_setform_literal", seed, corrupt, "setform")
-    )
-    results.append(_check_literal_contrastive("loss_c_nce_literal", seed, corrupt, "nce"))
+    results.append(_check_literal_contrastive("loss_c_setform_literal", seed, "setform"))
+    results.append(_check_literal_contrastive("loss_c_nce_literal", seed, "nce"))
     results.append(
         _check_model_loss(
             "loss_total",
@@ -181,8 +161,7 @@ def run_gradcheck(seed: int = 0, corrupt: str | None = None) -> list[CheckResult
                 n_negatives=3,
             ),
             seed,
-            corrupt,
         )
     )
-    results.append(_check_head(seed, corrupt))
+    results.append(_check_head(seed))
     return results

@@ -181,13 +181,11 @@ def classify_cached(
     head: ClassifierHead,
     o_text: np.ndarray,
     o_image: np.ndarray,
-    mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> MlpCache:
-    """The fusion head's forward pass, with dropout in "train" mode only; its
-    `output` holds the logits."""
-    if mode not in ("train", "eval"):
-        raise ParameterError(f"classify mode must be train|eval, got {mode!r}")
+    """The fusion head's forward pass, with dropout drawn from `rng` when one
+    is given (a training forward) and none without; its `output` holds the
+    logits."""
     if o_text.shape[0] != o_image.shape[0]:
         raise ShapeError(
             f"classify: row counts differ ({o_text.shape[0]} text vs "
@@ -198,7 +196,7 @@ def classify_cached(
         raise ShapeError(
             f"classify: concat width {x.shape[1]} != head input {head.input_dim}"
         )
-    dropout_p = HEAD_DROPOUT if mode == "train" else ()
+    dropout_p = HEAD_DROPOUT if rng is not None else ()
     return _mlp_forward(x, head.layers, dropout_p=dropout_p, rng=rng)
 
 

@@ -20,16 +20,10 @@ class Param:
 
     name: str
     value: np.ndarray
-    grad: np.ndarray = field(default=None)  # type: ignore[assignment]
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        if self.grad.shape != self.value.shape:
-            raise ShapeError(
-                f"param {self.name}: grad shape {self.grad.shape} "
-                f"!= value shape {self.value.shape}"
-            )
+        self.grad = np.zeros_like(self.value)
 
 
 class RngStreams:
@@ -178,7 +172,10 @@ def glorot_uniform(
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
-def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-8) -> float:
-    """Max |a-n| / max(|a|, |n|, floor) over entries."""
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+_REL_ERR_FLOOR = 1e-8  # max_rel_err's least denominator
+
+
+def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Max |a-n| / max(|a|, |n|, _REL_ERR_FLOOR) over entries."""
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _REL_ERR_FLOOR)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -18,7 +18,7 @@ import numpy as np
 from . import data, evaluation, losses, model as model_mod
 from .checkpoint import save_checkpoint
 from .data import PairedDataset
-from .errors import ConfigError, LabelError, NumericError
+from .errors import ConfigError, NumericError
 from .losses import LossBreakdown, LossWeights, check_choice
 from .model import ClassifierHead, CobraModel
 from .nn import RngStreams, sgd_step
@@ -338,18 +338,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 def train_classifier(
     frozen_model: CobraModel,
     paired: PairedDataset,
-    task_labels=None,
     head_config: HeadConfig | None = None,
 ) -> ClassifierHead:
-    """Trains the fusion head on frozen joint embeddings (two-stage)."""
+    """Trains the fusion head on frozen joint embeddings (two-stage), on the
+    labels `paired` carries; to train on other labels, pass a PairedDataset
+    that carries them."""
     cfg = head_config or HeadConfig()
-    labels = paired.labels if task_labels is None else np.asarray(task_labels)
-    bad = (labels.astype(np.int64) != labels) | (labels < 0)
-    if bad.any():
-        raise LabelError(f"task label {labels[bad][0]} is not an integer >= 0")
-    labels = labels.astype(np.int64)
-    if labels.shape[0] != paired.n_pairs:
-        raise ConfigError(f"{labels.shape[0]} task labels for {paired.n_pairs} pairs")
+    labels = paired.labels
     num_task_classes = int(labels.max()) + 1
 
     dtype = frozen_model.dtype
@@ -367,9 +362,7 @@ def train_classifier(
     for _ in range(cfg.epochs):
         for _ in range(iters):
             idx = mb_rng.choice(paired.n_pairs, size=b, replace=False)
-            hc = model_mod.classify_cached(
-                head, o_text[idx], o_image[idx], mode="train", rng=drop_rng
-            )
+            hc = model_mod.classify_cached(head, o_text[idx], o_image[idx], rng=drop_rng)
             _, d_logits = softmax_cross_entropy(hc.output, labels[idx])
             model_mod.classify_backward(head, hc, d_logits)
             sgd_step(head.params(), cfg.eta)

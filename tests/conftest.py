@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cobra import data, model as model_mod
+from cobra import data, model as model_mod, nn
 
 
 def tiny_model(seed=0, d_image=5, d_text=4, num_classes=3, dtype=np.float64):
@@ -24,6 +24,13 @@ def tiny_paired(seed=0, classes=3, per_class=6, d_image=5, d_text=4):
         image=data.FeatureDataset("image", f_i, labels, classes),
         text=data.FeatureDataset("text", f_t, labels.copy(), classes),
     )
+
+
+def scale_relu_backward(monkeypatch, factor=1.001):
+    """Breaks the ReLU backward of every MLP by a relative `factor`: a fault
+    in the real code for the gradient checks to catch."""
+    relu_backward = nn.relu_backward
+    monkeypatch.setattr(nn, "relu_backward", lambda x, up: factor * relu_backward(x, up))
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Per-query retrieval loop: the reference implementation of
-``evaluation.mean_average_precision``.
+``evaluation._fragment``, which scores each direction of
+``evaluation.retrieval_report``.
 
 Production ranks queries in blocks: a float32 block with one integer key
 sort, a float64 block with a fast argsort and a repair of only the rows with

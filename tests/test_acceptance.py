@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line to the real terminal (past pytest's
 capture) so the gate's verdict is visible in plain test output.
 """
 
+import dataclasses
 import math
 import re
 import time
@@ -132,8 +133,12 @@ def test_criterion_4_classification_with_control(capsys, convergence_run):
     # control: heads trained on permuted labels must collapse to chance
     rng = np.random.default_rng(0)
     shuffled = rng.permutation(train_set.labels)
+    control_set = data.PairedDataset(
+        image=dataclasses.replace(train_set.image, labels=shuffled),
+        text=dataclasses.replace(train_set.text, labels=shuffled),
+    )
     control_head = training.train_classifier(
-        model, train_set, task_labels=shuffled, head_config=HeadConfig(epochs=30)
+        model, control_set, head_config=HeadConfig(epochs=30)
     )
     control_acc = evaluation.classification_accuracy(
         control_head, model, test_set, test_set.labels

@@ -12,6 +12,7 @@ from cobra import checkpoint, cli, data, evaluation, model as model_mod
 from cobra.data import SyntheticSpec
 from cobra.losses import LossWeights
 from cobra.training import TrainConfig
+from conftest import scale_relu_backward
 
 
 def run_cli(capsys, *argv):
@@ -552,7 +553,10 @@ def test_gradcheck_pass_exit_0(capsys):
         assert re.match(r"check=\S+ max_rel_err=\d\.\d{3}e[+-]\d+ status=pass", line)
 
 
-def test_gradcheck_corrupt_exit_1(capsys):
-    code, out, _ = run_cli(capsys, "gradcheck", "--corrupt", "image.enc0.w")
+def test_gradcheck_fault_exit_1(monkeypatch, capsys):
+    """A fault in the real ReLU backward fails the command."""
+    scale_relu_backward(monkeypatch)
+    code, out, err = run_cli(capsys, "gradcheck")
     assert code == 1
-    assert "status=FAIL" in out
+    assert "check=loss_r " in out and "status=FAIL" in out
+    assert "gradient check failed: " in err

@@ -19,6 +19,35 @@ def test_feature_dataset_validation():
         data.FeatureDataset("image", np.zeros((1, 1)), [2], 2)
     with pytest.raises(ConfigError):
         data.FeatureDataset("image", np.zeros((2, 1)), [0], 1)
+    with pytest.raises(ConfigError, match=r"shape \(\)"):
+        data.FeatureDataset("image", np.zeros((1, 1)), 0, 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "labels, named",
+    [
+        (np.resize([0.5, 1.5, 2.5], 30), "0.5"),
+        (np.resize([0, 1, -1], 30), "-1"),
+        ([0.5, 1.7, 2.2], "0.5"),  # truncates to the valid-looking [0 1 2]
+        ([0.0, -0.5, 1.0], "-0.5"),
+        ([0.0, np.nan, 1.0], "nan"),
+        ([0.0, 1.0, np.inf], "inf"),
+    ],
+    ids=["fractional", "negative", "truncated_in_range", "negative_fractional", "nan", "inf"],
+)
+def test_feature_dataset_rejects_non_integer_labels(labels, named):
+    """A label that is not an integer in [0, num_classes) is a LabelError
+    naming the first such label, raised before the int64 cast would
+    truncate it (or warn on NaN)."""
+    features = np.zeros((len(labels), 2), np.float32)
+    with pytest.raises(LabelError, match=f"^label {named} "):
+        data.FeatureDataset("image", features, labels, 3)
+
+
+def test_feature_dataset_keeps_integer_valued_float_labels():
+    ds = data.FeatureDataset("image", np.zeros((3, 2), np.float32), [2.0, 0.0, 1.0], 3)
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 0, 1]
 
 
 def test_paired_dataset_rejects_label_mismatch():

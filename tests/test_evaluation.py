@@ -120,7 +120,7 @@ def test_float32_retrieval_matches_loop_oracle(seed, map_at):
     ql, gl = rng.integers(0, c, nq), rng.integers(0, c, ng)
     m = _identity_model(d, np.float32)
     qs, gs = _raw_datasets(q, g, ql, gl)
-    frag = evaluation.mean_average_precision(m, qs, gs, "ITT", map_at=map_at)
+    frag = _unpaired_fragment(m, qs, gs, map_at=map_at)
     q_emb, g_emb = evaluation.embed_dataset(m, qs), evaluation.embed_dataset(m, gs)
     assert q_emb.dtype == np.float32
     aps, excluded, map_value = retrieval_oracle.map_from_embeddings(
@@ -190,10 +190,25 @@ def _raw_datasets(q_emb, g_emb, q_labels, g_labels):
     return qs, gs
 
 
+def _unpaired_fragment(m, qs, gs, zero_relevant="exclude", map_at=None):
+    """Scores a query set against a gallery that are not pairs, so a query
+    can have no relevant item without map_at, through the function that
+    scores each direction of retrieval_report."""
+    return evaluation._fragment(
+        "ITT",
+        evaluation.embed_dataset(m, qs),
+        evaluation.embed_dataset(m, gs),
+        qs.labels,
+        gs.labels,
+        zero_relevant,
+        map_at,
+    )
+
+
 def _fragment_from_raw(q_emb, g_emb, q_labels, g_labels, **kw):
     m = _identity_model(q_emb.shape[1])
     qs, gs = _raw_datasets(q_emb, g_emb, q_labels, g_labels)
-    return evaluation.mean_average_precision(m, qs, gs, "ITT", **kw)
+    return _unpaired_fragment(m, qs, gs, **kw)
 
 
 def test_identity_model_preserves_embeddings():
@@ -284,8 +299,6 @@ def test_retrieval_rejects_invalid_options(kw):
     m = tiny_model()
     with pytest.raises(ConfigError):
         evaluation.retrieval_report(m, paired, **kw)
-    with pytest.raises(ConfigError):
-        evaluation.mean_average_precision(m, paired.image, paired.text, "ITT", **kw)
 
 
 def _tied_rows(rng, n, d):
@@ -307,8 +320,8 @@ def _tied_rows(rng, n, d):
 )
 @settings(max_examples=40, deadline=None)
 def test_retrieval_matches_loop_oracle(seed, zero_relevant, map_at):
-    """mean_average_precision and retrieval_report equal the per-query loop
-    exactly, across more than one block of queries."""
+    """Unpaired sets scored by _fragment, and retrieval_report, equal the
+    per-query loop exactly, across more than one block of queries."""
     rng = np.random.default_rng(seed)
     nq = int(rng.choice([3, 40, 2 * evaluation._QUERY_BLOCK + 7]))
     ng = int(rng.integers(1, 120))
@@ -329,7 +342,7 @@ def test_retrieval_matches_loop_oracle(seed, zero_relevant, map_at):
         assert frag.map_value == map_value
 
     qs, gs = _raw_datasets(q, g, ql, gl)
-    check(evaluation.mean_average_precision(m, qs, gs, "ITT", **kw), qs, gs)
+    check(_unpaired_fragment(m, qs, gs, **kw), qs, gs)
 
     image, text = _raw_datasets(q, _tied_rows(rng, nq, d), ql, ql)
     paired = data.PairedDataset(image=image, text=text)

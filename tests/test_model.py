@@ -214,15 +214,11 @@ def test_classify_eval_deterministic_train_stochastic():
     for p in head.params():
         p.value += rng.normal(scale=0.1, size=p.value.shape)
     o_t, o_i = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
-    a = model_mod.classify_cached(head, o_t, o_i, mode="eval").output
-    b = model_mod.classify_cached(head, o_t, o_i, mode="eval").output
+    a = model_mod.classify_cached(head, o_t, o_i).output
+    b = model_mod.classify_cached(head, o_t, o_i).output
     assert np.array_equal(a, b)
-    t1 = model_mod.classify_cached(
-        head, o_t, o_i, mode="train", rng=np.random.default_rng(1)
-    ).output
-    t2 = model_mod.classify_cached(
-        head, o_t, o_i, mode="train", rng=np.random.default_rng(2)
-    ).output
+    t1 = model_mod.classify_cached(head, o_t, o_i, rng=np.random.default_rng(1)).output
+    t2 = model_mod.classify_cached(head, o_t, o_i, rng=np.random.default_rng(2)).output
     assert not np.array_equal(t1, t2)
 
 
@@ -230,8 +226,6 @@ def test_classify_rejects_row_mismatch():
     head = model_mod.init_head(3, 4, seed=0, hidden=(5, 4, 3))
     with pytest.raises(ShapeError):
         model_mod.classify_cached(head, np.zeros((2, 3)), np.zeros((3, 3))).output
-    with pytest.raises(ParameterError, match="bogus"):
-        model_mod.classify_cached(head, np.zeros((2, 3)), np.zeros((2, 3)), mode="bogus")
 
 
 def test_classify_backward_overwrites_stale_grads():
@@ -240,7 +234,7 @@ def test_classify_backward_overwrites_stale_grads():
         p.grad[...] = 123.0
     rng = np.random.default_rng(6)
     o_t, o_i = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    hc = model_mod.classify_cached(head, o_t, o_i, mode="eval")
+    hc = model_mod.classify_cached(head, o_t, o_i)
     model_mod.classify_backward(head, hc, np.zeros((4, 2)))
     for p in head.params():
         assert not p.grad.any()

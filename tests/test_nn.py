@@ -8,6 +8,13 @@ from cobra.errors import NumericError, ParameterError, ShapeError
 from cobra.nn import Param
 
 
+def stepped(name, value, grad):
+    """A Param whose gradient buffer holds `grad`, as a backward pass leaves it."""
+    p = Param(name, value)
+    p.grad[...] = grad
+    return p
+
+
 def test_affine_forward_identity():
     y = nn.affine_forward(np.array([[1.0, 0.0]]), np.eye(2), np.zeros((1, 2)))
     assert np.array_equal(y, [[1.0, 0.0]])
@@ -113,7 +120,7 @@ def test_dropout_backward_linear_in_upstream():
 
 
 def test_sgd_step_direct_rule():
-    p = Param("p", np.array([[1.0]]), np.array([[0.5]]))
+    p = stepped("p", np.array([[1.0]]), np.array([[0.5]]))
     nn.sgd_step([p], 0.1)
     assert np.allclose(p.value, [[0.95]])
 
@@ -126,8 +133,8 @@ def test_sgd_step_zero_grad_fixed_point():
 
 def test_sgd_two_half_steps_equal_one_double_step():
     grad = np.array([[0.25, -0.5]])
-    p1 = Param("a", np.ones((1, 2)), grad.copy())
-    p2 = Param("b", np.ones((1, 2)), grad.copy())
+    p1 = stepped("a", np.ones((1, 2)), grad)
+    p2 = stepped("b", np.ones((1, 2)), grad)
     nn.sgd_step([p1], 0.1)
     nn.sgd_step([p1], 0.1)
     nn.sgd_step([p2], 0.2)
@@ -142,7 +149,7 @@ def test_sgd_nonfinite_grad_names_param():
     for shape, bad, dtype in cases:
         grad = np.full(shape, 0.5, dtype=dtype)
         grad.reshape(-1)[-1 if grad.size == 1 else -3] = bad
-        p = Param("enc.w", np.ones(shape, dtype=dtype), grad)
+        p = stepped("enc.w", np.ones(shape, dtype=dtype), grad)
         with pytest.raises(NumericError, match="enc.w"):
             nn.sgd_step([p], 0.1)
         assert np.array_equal(p.value, np.ones(shape, dtype=dtype)), (shape, bad, dtype)
@@ -150,8 +157,8 @@ def test_sgd_nonfinite_grad_names_param():
 
 def test_sgd_nonfinite_grad_leaves_every_value_unchanged():
     rng = np.random.default_rng(11)
-    a = Param("a", rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
-    b = Param("b", rng.normal(size=(2, 5)), rng.normal(size=(2, 5)))
+    a = stepped("a", rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
+    b = stepped("b", rng.normal(size=(2, 5)), rng.normal(size=(2, 5)))
     b.grad[1, 2] = np.nan
     before = [a.value.tobytes(), b.value.tobytes()]
     with pytest.raises(NumericError, match="'b'"):
@@ -164,7 +171,7 @@ def test_sgd_finite_grad_with_overflowing_square_updates():
     flat = grad.reshape(-1)
     with np.errstate(over="ignore"):
         assert np.isinf(np.dot(flat, flat))  # the sum of squares overflows float32
-    p = Param("w", np.ones((1, 2), dtype=np.float32), grad)
+    p = stepped("w", np.ones((1, 2), dtype=np.float32), grad)
     expected = p.value - 0.1 * grad
     nn.sgd_step([p], 0.1)
     assert p.value.tobytes() == expected.tobytes()
@@ -179,14 +186,14 @@ def test_sgd_chunked_update_equals_whole_array_rule(dtype, eta):
     grad = rng.normal(size=shape).astype(dtype)
     expected = value.copy()
     expected -= eta * grad
-    p = Param("w", value, grad.copy())
+    p = stepped("w", value, grad)
     nn.sgd_step([p], eta)
     assert p.value is value and p.value.tobytes() == expected.tobytes()
 
 
 def test_sgd_rejects_noncontiguous_value_before_any_update():
-    a = Param("a", np.zeros((2, 2)), np.ones((2, 2)))
-    t = Param("t", np.zeros((3, 2)).T, np.ones((2, 3)))
+    a = stepped("a", np.zeros((2, 2)), np.ones((2, 2)))
+    t = stepped("t", np.zeros((3, 2)).T, np.ones((2, 3)))
     with pytest.raises(ShapeError, match="'t'"):
         nn.sgd_step([a, t], 0.1)
     assert not a.value.any()

@@ -7,14 +7,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cobra"
 
-# public names kept without a production caller, each for its reason
-NO_CALLER_ALLOWED = {
-    "evaluation.mean_average_precision": (
-        "the one entry point for a query set and a gallery that are not pairs; "
-        "the oracle tests reach queries with no relevant item through it"
-    ),
-}
-
 
 def _import_aliases(tree: ast.Module):
     """(local name -> package module, local name -> 'module.name') of the
@@ -84,20 +76,23 @@ def test_every_public_definition_has_a_production_caller():
         f"{m}.{name}" for m, name in re.findall(r'"cobra\.(\w+):(\w+)"', pyproject)
     }
 
-    unused = _public_definitions() - refs - set(NO_CALLER_ALLOWED)
+    unused = _public_definitions() - refs
     assert not unused, f"only tests use: {sorted(unused)}"
-    assert set(NO_CALLER_ALLOWED) <= _public_definitions()
+
+
+def _functions(tree: ast.Module) -> list[ast.FunctionDef]:
+    """The module-level functions and the methods of module-level classes."""
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        functions += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+    return functions
 
 
 def _unread_parameters(path: Path) -> list[str]:
     """'module.function(param)' for each parameter of a module-level function
     or method in the file that its body never reads."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
-    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
-        functions += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
     unread = []
-    for fn in functions:
+    for fn in _functions(ast.parse(path.read_text(encoding="utf-8"))):
         a = fn.args
         params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
         read = {
@@ -116,3 +111,53 @@ def test_every_parameter_is_read():
     block_loss(dots, anchor, cand) does without reading `anchor`."""
     unread = [u for path in sorted(PACKAGE.glob("*.py")) for u in _unread_parameters(path)]
     assert not unread, f"parameters never read: {unread}"
+
+
+def _passed_parameters(paths) -> dict[str, set]:
+    """Callee name -> the keywords its calls in `paths` pass, the positions
+    they fill (as ints), and "*" if a call unpacks into it."""
+    passed: dict[str, set] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            got = passed.setdefault(callee, set())
+            got |= {k.arg or "*" for k in node.keywords}
+            got |= {"*" if isinstance(a, ast.Starred) else i for i, a in enumerate(node.args)}
+    return passed
+
+
+def _unset_optional_parameters(package: Path, scripts: Path) -> list[str]:
+    """'module.function(param)' for each defaulted parameter of a public
+    function or method of `package` that no call in `package` or `scripts`
+    passes by keyword, by position or through */** unpacking. Calls are
+    matched to definitions by name; a method's positions skip `self`."""
+    paths = sorted(package.glob("*.py")) + sorted(scripts.glob("*.py"))
+    passed = _passed_parameters(paths)
+    unset = []
+    for path in sorted(package.glob("*.py")):
+        for fn in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            if fn.name.startswith("_"):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            is_method = bool(positional) and positional[0].arg in ("self", "cls")
+            got = passed.get(fn.name, set())
+            defaulted = list(enumerate(positional))[len(positional) - len(a.defaults) :]
+            defaulted += [(None, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            for i, p in defaulted:
+                position = None if i is None else i - is_method
+                if not {"*", p.arg, position} & got:
+                    unset.append(f"{path.stem}.{fn.name}({p.arg})")
+    return unset
+
+
+def test_every_optional_parameter_is_set_by_production():
+    """A defaulted parameter that only tests set is an option no user
+    reaches: each must be passed by some call in the package or the
+    scripts. Tests reach other behaviour through the production path or by
+    monkeypatching."""
+    unset = _unset_optional_parameters(PACKAGE, ROOT / "scripts")
+    assert not unset, f"optional parameters only tests set: {unset}"

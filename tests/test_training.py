@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 import train_step_oracle as oracle
 from cobra import checkpoint, data, model as model_mod, nn, training
-from cobra.errors import ConfigError, LabelError, NumericError
+from cobra.errors import ConfigError, NumericError
 from cobra.losses import LossWeights
 from cobra.nn import RngStreams
 from cobra.training import HeadConfig, TrainConfig, softmax_cross_entropy
@@ -320,30 +321,17 @@ def test_train_classifier_deterministic():
 
 
 def test_train_classifier_custom_task_labels():
+    """Other task labels travel in a PairedDataset that carries them."""
     paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
     m = model_mod.init_model(6, 5, 3, seed=0)
     # binary relabelling independent of the pretraining classes
     task = (paired.labels >= 1).astype(np.int64)
-    head = training.train_classifier(m, paired, task_labels=task, head_config=HeadConfig(epochs=1))
+    relabelled = data.PairedDataset(
+        image=dataclasses.replace(paired.image, labels=task),
+        text=dataclasses.replace(paired.text, labels=task),
+    )
+    head = training.train_classifier(m, relabelled, head_config=HeadConfig(epochs=1))
     assert head.num_classes == 2
-    with pytest.raises(ConfigError):
-        training.train_classifier(m, paired, task_labels=task[:-1])
-
-
-@pytest.mark.parametrize(
-    "task, named",
-    [(np.resize([0, 1, -1], 30), "-1"), (np.resize([0.5, 1.5, 2.5], 30), "0.5")],
-    ids=["negative", "fractional"],
-)
-def test_train_classifier_rejects_bad_task_labels(monkeypatch, task, named):
-    """A negative label (which would index the last class) or a fractional
-    one (which would be truncated) is a LabelError naming it, raised before
-    any head is built."""
-    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
-    m = model_mod.init_model(6, 5, 3, seed=0)
-    monkeypatch.setattr(model_mod, "init_head", None)
-    with pytest.raises(LabelError, match=f"task label {named} "):
-        training.train_classifier(m, paired, task_labels=task)
 
 
 def test_train_classifier_clips_batch_with_one_warning(capsys):
