@@ -7,12 +7,17 @@ the query's class. AP is computed over the full ranked list. Queries with no
 relevant gallery item have undefined AP and are excluded from the mean (and
 counted), unless ``zero_relevant="zero"`` scores them as 0.
 
-Queries are ranked in blocks of ``_QUERY_BLOCK`` rows. A float32 block (the
-scores of a v2 checkpoint's model) takes one int64 sort of an order-keeping
-key per score, which gives the tie-by-index order bit for bit; a float64
-block takes a fast argsort, then an integer key sort of only the rows with
-equal scores. ``rank_gallery`` and ``average_precision`` hold the two
-conventions and take such a block along the last axis.
+Queries are ranked in blocks of about ``_BLOCK_SCORES`` scores by
+``ranked_relevance``. A float32 block (the scores of a v2 checkpoint's
+model) takes one int64 sort of an order-keeping key per score,
+``~key << 32 | index << 1 | relevant``: it gives the tie-by-index order bit
+for bit, and the sorted keys carry each item's relevance, so no ranked
+order is formed and no labels are gathered. Its gallery holds fewer than
+2**31 items. Other blocks take ``rank_gallery``: a fast argsort, then an
+integer key sort of only the rows with equal scores. ``rank_gallery``,
+``ranked_relevance`` and ``average_precision`` hold these conventions and
+take such a block along the last axis; AP visits only the relevant
+positions and is the same, bit for bit, as the full-width sum.
 ``retrieval_report`` embeds each modality once for both directions.
 """
 
@@ -30,10 +35,14 @@ from .model import ClassifierHead, CobraModel
 
 DIRECTIONS = ("ITT", "TTI")
 ZERO_RELEVANT = ("exclude", "zero")
-# Queries ranked at once: on a 3500-item gallery a float32 block's int32 key
-# stays near 3.5 MB and its int64 sort keys near 7 MB; a float64 block's
-# score and index arrays near 7 MB each.
-_QUERY_BLOCK = 256
+# Scores ranked at once: a block takes as many queries as fit, at least one.
+# Their int64 sort keys take 2 MB, the size of a per-core L2 cache. On a
+# 3500-item gallery, 32 to 128 rows per block scored a direction in the same
+# time and 256 rows took 1.3x as long; on a 200-item gallery every query
+# fits in one block, which saves the fixed cost of further blocks.
+_BLOCK_SCORES = 1 << 18
+# The high half of an int64 in its int32 view.
+_HIGH_WORD = int(np.little_endian)
 
 
 @dataclass
@@ -66,29 +75,40 @@ class RetrievalReport:
 
 def similarity_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities; zero-norm rows map to 0 similarity."""
-    qn = np.linalg.norm(queries, axis=1, keepdims=True)
-    gn = np.linalg.norm(gallery, axis=1, keepdims=True)
-    q = np.divide(queries, qn, out=np.zeros_like(queries), where=qn > 0)
-    g = np.divide(gallery, gn, out=np.zeros_like(gallery), where=gn > 0)
+    q, g = _unit_rows(queries), _unit_rows(gallery)
     return q @ g.T
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Each row over its norm, an all-zero row as zeros. A row whose norm
+    overflows, or whose squares fall below the dtype's normal range (a
+    zero or inaccurate norm), is first scaled by the power of two at its
+    largest magnitude. The scaling is exact except for entries it makes
+    subnormal, far below the largest, whose lost bits do not measurably
+    turn the row; every other row keeps its bits."""
+    with np.errstate(over="ignore", under="ignore"):  # the rows rescaled below
+        norm = np.linalg.norm(x, axis=1, keepdims=True)
+    lost = ~((norm >= np.sqrt(np.finfo(x.dtype).tiny)) & (norm < np.inf))[:, 0]
+    if np.any(lost):
+        # an all-zero, infinite or NaN row has exponent 0 and stays as it is
+        _, exponent = np.frexp(np.abs(x[lost]).max(axis=1, keepdims=True))
+        x = x.copy()
+        x[lost] = np.ldexp(x[lost], -exponent)
+        norm[lost] = np.linalg.norm(x[lost], axis=1, keepdims=True)
+    return np.divide(x, norm, out=np.zeros_like(x), where=norm > 0)
 
 
 def rank_gallery(sims: np.ndarray) -> np.ndarray:
     """Indices by descending similarity along the last axis, ties broken by
     ascending index.
 
-    float32 scores take the one sort of ``_key_order``. Other scores take
-    the fast default argsort: a row without equal scores has one sorted
-    order, which it finds; only rows whose sorted scores are not strictly
-    decreasing (equal scores, -0.0 and 0.0, NaN) are repaired by
-    ``_order_ties``. float64 keeps this path because its key does not fit in
-    one int64 beside the index, and on a 256x3500 float64 block this path
-    took 31 ms against 97 ms for a stable argsort.
+    The fast default argsort finds the one sorted order of a row without
+    equal scores; only rows whose sorted scores are not strictly decreasing
+    (equal scores, -0.0 and 0.0, NaN) are repaired by ``_order_ties``. On a
+    256x3500 float64 block this took 31 ms against 97 ms for a stable
+    argsort.
     """
-    sims = np.asarray(sims)
-    if sims.dtype == np.float32:
-        return _key_order(sims)
-    neg = -sims
+    neg = -np.asarray(sims)
     order = np.argsort(neg, axis=-1)
     neg.sort(axis=-1)
     tied = ~np.all(neg[..., 1:] > neg[..., :-1], axis=-1)
@@ -97,23 +117,38 @@ def rank_gallery(sims: np.ndarray) -> np.ndarray:
     return order
 
 
-def _key_order(sims: np.ndarray) -> np.ndarray:
-    """Stable descending order of float32 scores: one int64 sort of
-    ``~key << 32 | index``. The key maps the float's bits to an int32 in
-    float order (a negative float's magnitude bits are flipped); -0.0 takes
-    0.0's key and every NaN the lowest key, so each is one run, NaNs last,
-    as in a stable sort. ``~`` rather than negation reverses the order
-    without overflowing the lowest key."""
+def ranked_relevance(sims: np.ndarray, relevant: np.ndarray) -> np.ndarray:
+    """``relevant`` (bool, in gallery order, of the shape of ``sims``)
+    permuted into the order ``rank_gallery`` gives ``sims``, along the last
+    axis.
+
+    A float32 block never forms that order. Its one sort is of the int64
+    keys ``~key << 32 | index << 1 | relevant``, which order by descending
+    score, then by ascending index, and the relevance bits are read off the
+    sorted keys. The gallery holds fewer than 2**31 items. ``key`` maps the
+    float's bits to an int32 in float order (a negative float's magnitude
+    bits are flipped); -0.0 takes 0.0's key and every NaN the lowest key, so
+    each is one run, NaNs last, as in a stable sort. ``~`` rather than
+    negation reverses the order without overflowing the lowest key. A
+    float64 key does not fit in one int64 beside the index, so other blocks
+    permute by ``rank_gallery``.
+    """
+    sims = np.asarray(sims)
+    if sims.dtype != np.float32:
+        return np.take_along_axis(relevant, rank_gallery(sims), -1)
     bits = sims.view(np.int32)
-    key = bits ^ ((bits >> 31) & 0x7FFFFFFF)
-    key[sims == 0] = 0
-    key[np.isnan(sims)] = np.iinfo(np.int32).min
-    order = np.invert(key).astype(np.int64)
-    order <<= 32
-    order |= np.arange(sims.shape[-1])
-    order.sort(axis=-1)
-    order &= 0xFFFFFFFF
-    return order
+    sign = bits >> 31
+    high = np.bitwise_and(sign, 0x7FFFFFFF)
+    high ^= bits
+    np.invert(high, out=high)
+    high += sign  # every negative float one lower puts -0.0 on 0.0
+    if np.isnan(sims).any():
+        high[np.isnan(sims)] = np.iinfo(np.int32).max
+    keys = np.left_shift(np.arange(sims.shape[-1]), 1)
+    keys = np.bitwise_or(keys, relevant, out=np.empty(sims.shape, np.int64))
+    keys.view(np.int32)[..., _HIGH_WORD::2] = high
+    keys.sort(axis=-1)
+    return np.bitwise_and(keys, 1, out=np.empty(keys.shape, bool), casting="unsafe")
 
 
 def _order_ties(sorted_neg: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -132,15 +167,31 @@ def _order_ties(sorted_neg: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 def average_precision(relevance) -> float | np.ndarray:
     """Mean of precision-at-k over the relevant positions of a ranked list;
-    a (B, n) block of lists gives B values."""
-    rel = np.asarray(relevance, dtype=np.float64)
-    n_rel = rel.sum(axis=-1)
-    if np.any(n_rel == 0):
+    a (B, n) block of lists gives B values. Relevance is bool or 0/1.
+
+    Only the relevant positions are visited: the precision at each is
+    written into a zero block, which is summed along each row as the
+    full-width products of cumulative hits and relevance were, so each
+    value is the same bit for bit (the other terms are +0.0 in both)."""
+    rel = np.asarray(relevance)
+    if rel.dtype != bool:
+        bad = rel[(rel != 0) & (rel != 1)]
+        if bad.size:
+            raise ConfigError(f"relevance must be 0 or 1, got {bad[0]}")
+        rel = rel != 0
+    n = rel.shape[-1]
+    at = np.flatnonzero(rel)
+    row_start = n * np.arange(np.prod(rel.shape[:-1], dtype=np.int64))
+    first = np.searchsorted(at, row_start)
+    hits = np.diff(first, append=at.size)
+    if np.any(hits == 0):
         raise ConfigError("average_precision needs at least one relevant item")
-    precision_at = np.cumsum(rel, axis=-1)
-    precision_at /= np.arange(1, rel.shape[-1] + 1)
-    precision_at *= rel
-    ap = precision_at.sum(axis=-1) / n_rel
+    hit_no = np.arange(1, at.size + 1) - np.repeat(first, hits)
+    rank = at - np.repeat(row_start, hits)
+    rank += 1
+    terms = np.zeros(rel.shape)
+    terms.reshape(-1)[at] = hit_no / rank
+    ap = terms.sum(axis=-1) / hits.reshape(rel.shape[:-1])
     return float(ap) if ap.ndim == 0 else ap
 
 
@@ -164,15 +215,17 @@ def _fragment(
     zero_relevant: str,
     map_at: int | None,
 ) -> RetrievalFragment:
-    """Scores one direction, ranking _QUERY_BLOCK queries at a time."""
+    """Scores one direction, ranking a block of queries with about
+    _BLOCK_SCORES scores at a time."""
     sims = similarity_matrix(q_emb, g_emb)
     n = q_emb.shape[0]
+    rows = max(1, _BLOCK_SCORES // g_emb.shape[0])
     aps = np.zeros(n)
     found = np.zeros(n, dtype=bool)
-    for start in range(0, n, _QUERY_BLOCK):
-        block = slice(start, start + _QUERY_BLOCK)
-        order = rank_gallery(sims[block])[:, :map_at]
-        rel = g_labels[order] == q_labels[block, None]
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        relevant = g_labels == q_labels[block, None]
+        rel = ranked_relevance(sims[block], relevant)[:, :map_at]
         hit = rel.any(axis=1)
         found[block] = hit
         aps[block][hit] = average_precision(rel[hit])

@@ -1,12 +1,19 @@
-"""Per-query retrieval loop: the reference implementation of
-``evaluation._fragment``, which scores each direction of
-``evaluation.retrieval_report``.
+"""Reference implementations of ``evaluation._fragment``, which scores each
+direction of ``evaluation.retrieval_report``.
 
 Production ranks queries in blocks: a float32 block with one integer key
-sort, a float64 block with a fast argsort and a repair of only the rows with
-equal scores. This module keeps the original loop, one stable argsort and one
-AP per query, with its own copies of the ranking and AP conventions, so a
-fault in the production versions cannot hide here too.
+sort that also carries each item's relevance, a float64 block with a fast
+argsort and a repair of only the rows with equal scores; AP visits only the
+relevant positions. This module keeps two earlier forms, each with its own
+copies of the ranking and AP conventions, so a fault in the production
+versions cannot hide here too:
+
+- ``map_from_embeddings``, the original loop: one stable argsort and one AP
+  per query;
+- ``block_fragment_aps``, the float32 block path before relevance moved into
+  the key: a key sort of ``~key << 32 | index``, a gather of the gallery
+  labels in ranked order, and AP from a full-width float64 ``cumsum``.
+
 ``cosine_similarity`` scores one query/gallery pair, the brute-force check of
 ``evaluation.similarity_matrix``.
 """
@@ -60,3 +67,47 @@ def map_from_embeddings(
         aps.append(average_precision(rel))
     map_value = float(np.mean(aps)) if aps else 0.0
     return aps, excluded, map_value
+
+
+def key_order(sims: np.ndarray) -> np.ndarray:
+    """Stable descending order of float32 scores along the last axis: one
+    int64 sort of ``~key << 32 | index``, where the key maps the float's bits
+    to an int32 in float order, -0.0 takes 0.0's key and every NaN the
+    lowest."""
+    bits = sims.view(np.int32)
+    key = bits ^ ((bits >> 31) & 0x7FFFFFFF)
+    key[sims == 0] = 0
+    key[np.isnan(sims)] = np.iinfo(np.int32).min
+    order = np.invert(key).astype(np.int64)
+    order <<= 32
+    order |= np.arange(sims.shape[-1])
+    order.sort(axis=-1)
+    order &= 0xFFFFFFFF
+    return order
+
+
+def block_average_precision(rel: np.ndarray) -> np.ndarray:
+    """AP of each row of a (B, n) relevance block, each with a relevant item,
+    from the full-width cumulative hits."""
+    rel = np.asarray(rel, dtype=np.float64)
+    precision_at = np.cumsum(rel, axis=-1)
+    precision_at /= np.arange(1, rel.shape[-1] + 1)
+    precision_at *= rel
+    return precision_at.sum(axis=-1) / rel.sum(axis=-1)
+
+
+def block_fragment_aps(q_emb, g_emb, q_labels, g_labels, map_at=None):
+    """(aps, found) of one float32 retrieval direction, ranked 256 queries at
+    a time: the AP of each query (0.0 where ``found`` is False, as no
+    relevant item is in its ranked list)."""
+    sims = evaluation.similarity_matrix(q_emb, g_emb)
+    n = sims.shape[0]
+    aps, found = np.zeros(n), np.zeros(n, dtype=bool)
+    for start in range(0, n, 256):
+        rows = slice(start, start + 256)
+        order = key_order(sims[rows])[:, :map_at]
+        rel = g_labels[order] == q_labels[rows, None]
+        hit = rel.any(axis=1)
+        found[rows] = hit
+        aps[rows][hit] = block_average_precision(rel[hit])
+    return aps, found

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,14 @@ from cobra.errors import ConfigError, NumericError
 
 import retrieval_oracle
 from conftest import tiny_model, tiny_paired
+
+ROWS = 64  # queries per block in the tests that span several blocks
+
+
+def _rows_per_block(rows, gallery):
+    """Patches the score budget so that _fragment ranks `rows` queries of a
+    `gallery`-item gallery per block."""
+    return mock.patch.object(evaluation, "_BLOCK_SCORES", rows * gallery)
 
 
 def test_cosine_orthogonal_zero():
@@ -60,11 +69,18 @@ def test_average_precision_rejects_no_relevant():
         evaluation.average_precision([0, 0, 0])
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
-def test_rank_gallery_block_matches_stable_sort_per_row(dtype):
-    """float64 blocks take the argsort and tie repair, float32 blocks the key
-    sort; both equal the stable per-row oracle, on contiguous, strided and
-    Fortran-ordered blocks."""
+@pytest.mark.parametrize(
+    "relevance, named",
+    [([2, 0, 1], "2"), ([0.5, 0, 1], "0.5"), ([1.0, np.nan, 0.0], "nan"), ([[1, 0], [-1, 1]], "-1")],
+)
+def test_average_precision_rejects_non_binary_relevance(relevance, named):
+    with pytest.raises(ConfigError, match=f"relevance must be 0 or 1, got {named}$"):
+        evaluation.average_precision(relevance)
+
+
+def _extreme_scores(dtype):
+    """A 40x300 block full of equal scores, mixed -0.0/0.0 runs, NaN rows and
+    rows drawn from the extremes of the dtype."""
     rng = np.random.default_rng(5)
     sims = np.round(rng.normal(size=(40, 300)), 1).astype(dtype)  # many equal scores
     sims[0, :6] = [0.0, -0.0, 0.0, -0.0, 0.5, -0.0]
@@ -78,6 +94,17 @@ def test_rank_gallery_block_matches_stable_sort_per_row(dtype):
         pool = np.concatenate([extremes, -extremes, nans]).astype(dtype)
     sims[4:10] = rng.choice(pool, size=(6, 300))
     sims[10, ::3] = pool[-2]  # a row whose NaNs all have the sign bit set
+    return sims
+
+
+DTYPES = pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+
+
+@DTYPES
+def test_rank_gallery_block_matches_stable_sort_per_row(dtype):
+    """The argsort and tie repair equal the stable per-row oracle on float64
+    and float32 blocks, contiguous, strided and Fortran-ordered."""
+    sims = _extreme_scores(dtype)
     for block in (sims, sims[:, ::2], np.asfortranarray(sims)):
         want = np.stack([retrieval_oracle.rank_gallery(row) for row in block])
         assert np.array_equal(evaluation.rank_gallery(block), want)
@@ -85,28 +112,51 @@ def test_rank_gallery_block_matches_stable_sort_per_row(dtype):
         assert np.array_equal(evaluation.rank_gallery(block[4]), want[4])
 
 
+@DTYPES
+def test_ranked_relevance_matches_stable_sort_per_row(dtype):
+    """The relevance read off the sorted float32 keys, and the float64
+    argsort path, equal the relevance permuted by a stable argsort, on
+    contiguous, strided and Fortran-ordered blocks."""
+    sims = _extreme_scores(dtype)
+    relevant = np.random.default_rng(7).random(sims.shape) < 0.3
+    relevant[2] = True
+    relevant[3] = False
+    for block, rel in (
+        (sims, relevant),
+        (sims[:, ::2], relevant[:, ::2]),
+        (np.asfortranarray(sims), np.asfortranarray(relevant)),
+    ):
+        want = np.stack([r[retrieval_oracle.rank_gallery(row)] for row, r in zip(block, rel)])
+        got = evaluation.ranked_relevance(block, rel)
+        assert got.dtype == bool
+        assert np.array_equal(got, want)
+        assert np.array_equal(evaluation.ranked_relevance(block[4], rel[4]), want[4])
+
+
 @given(
     seed=st.integers(0, 100_000),
-    rows=st.integers(1, 2 * evaluation._QUERY_BLOCK + 7),
+    rows=st.integers(1, 2 * ROWS + 7),
     width=st.integers(1, 300),
 )
 @settings(max_examples=60, deadline=None)
 def test_rank_gallery_float32_ties_match_stable_argsort(seed, rows, width):
-    """The key-sort tie repair equals a stable argsort on float32 blocks full
-    of equal scores, mixed -0.0/0.0 runs, NaN runs and infinities."""
+    """The tie repair, and the relevance read off the float32 sort keys,
+    equal a stable argsort on float32 blocks full of equal scores, mixed
+    -0.0/0.0 runs, NaN runs and infinities."""
     rng = np.random.default_rng(seed)
     values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, np.inf, -np.inf, np.nan], np.float32)
     sims = rng.choice(values[: int(rng.integers(2, values.size + 1))], size=(rows, width))
     sims[rng.random(rows) < 0.3] = rng.normal(size=width).astype(np.float32)  # tie-free rows
+    relevant = rng.random((rows, width)) < 0.5
     want = np.argsort(-sims, axis=-1, kind="stable")
-    got = np.concatenate(
-        [
-            evaluation.rank_gallery(sims[start : start + evaluation._QUERY_BLOCK])
-            for start in range(0, rows, evaluation._QUERY_BLOCK)
-        ]
-    )
+    blocks = range(0, rows, ROWS)
+    got = np.concatenate([evaluation.rank_gallery(sims[b : b + ROWS]) for b in blocks])
     assert np.array_equal(got, want)
     assert np.array_equal(evaluation.rank_gallery(sims[-1]), want[-1])
+    got = np.concatenate(
+        [evaluation.ranked_relevance(sims[b : b + ROWS], relevant[b : b + ROWS]) for b in blocks]
+    )
+    assert np.array_equal(got, np.take_along_axis(relevant, want, -1))
 
 
 @given(seed=st.integers(0, 100_000), map_at=st.sampled_from([None, 5]))
@@ -115,18 +165,45 @@ def test_float32_retrieval_matches_loop_oracle(seed, map_at):
     """A float32 model's similarities tie often; blocked retrieval still
     equals the per-query loop exactly, across three query blocks."""
     rng = np.random.default_rng(seed)
-    nq, ng, d, c = 2 * evaluation._QUERY_BLOCK + 7, int(rng.integers(1, 120)), 3, 3
+    nq, ng, d, c = 2 * ROWS + 7, int(rng.integers(1, 120)), 3, 3
     q, g = _tied_rows(rng, nq, d), _tied_rows(rng, ng, d)
     ql, gl = rng.integers(0, c, nq), rng.integers(0, c, ng)
     m = _identity_model(d, np.float32)
     qs, gs = _raw_datasets(q, g, ql, gl)
-    frag = _unpaired_fragment(m, qs, gs, map_at=map_at)
+    with _rows_per_block(ROWS, ng):
+        frag = _unpaired_fragment(m, qs, gs, map_at=map_at)
     q_emb, g_emb = evaluation.embed_dataset(m, qs), evaluation.embed_dataset(m, gs)
     assert q_emb.dtype == np.float32
     aps, excluded, map_value = retrieval_oracle.map_from_embeddings(
         q_emb, g_emb, ql, gl, map_at=map_at
     )
     assert (frag.ap_per_query, frag.n_excluded, frag.map_value) == (aps, excluded, map_value)
+
+
+def test_float32_retrieval_over_2048_items_matches_both_oracles():
+    """A gallery of more than 2048 items puts index bits above bit 11 into
+    the sort key; with integer embeddings that tie often, blocked retrieval
+    still equals the pre-relevance-key block path and the per-query loop bit
+    for bit, with and without map_at, at the production block size."""
+    rng = np.random.default_rng(11)
+    nq, ng, d, c = 2 * ROWS + 7, 2600, 3, 4
+    q, g = np.round(2 * rng.normal(size=(nq, d))), np.round(2 * rng.normal(size=(ng, d)))
+    ql, gl = rng.integers(0, c, nq), rng.integers(0, c, ng)
+    m = _identity_model(d, np.float32)
+    qs, gs = _raw_datasets(q, g, ql, gl)
+    q_emb, g_emb = evaluation.embed_dataset(m, qs), evaluation.embed_dataset(m, gs)
+    sims = evaluation.similarity_matrix(q_emb, g_emb)
+    assert sims.dtype == np.float32
+    assert (np.diff(np.sort(sims, axis=1), axis=1) == 0).mean() > 0.5  # mostly ties
+    assert evaluation._BLOCK_SCORES // ng < nq  # more than one block
+    for map_at in (None, 2100):
+        frag = _unpaired_fragment(m, qs, gs, map_at=map_at)
+        block_aps, found = retrieval_oracle.block_fragment_aps(q_emb, g_emb, ql, gl, map_at)
+        assert frag.ap_per_query == block_aps[found].tolist()
+        aps, excluded, map_value = retrieval_oracle.map_from_embeddings(
+            q_emb, g_emb, ql, gl, map_at=map_at
+        )
+        assert (frag.ap_per_query, frag.n_excluded, frag.map_value) == (aps, excluded, map_value)
 
 
 def test_average_precision_block_matches_per_row():
@@ -136,6 +213,8 @@ def test_average_precision_block_matches_per_row():
     got = evaluation.average_precision(rel)
     want = [retrieval_oracle.average_precision(row) for row in rel]
     assert got.tolist() == want
+    assert np.array_equal(got, retrieval_oracle.block_average_precision(rel))
+    assert np.array_equal(evaluation.average_precision(rel.astype(np.int64)), got)
     rel[7] = False
     with pytest.raises(ConfigError):
         evaluation.average_precision(rel)
@@ -245,18 +324,36 @@ def test_map_matches_brute_force_oracle(seed):
     assert got[0] == pytest.approx(want[0], abs=1e-12)
 
 
-@given(seed=st.integers(0, 100_000), scale=st.floats(0.01, 100.0))
+@given(seed=st.integers(0, 100_000), exponent=st.floats(-30.0, 30.0))
 @settings(max_examples=60, deadline=None)
-def test_ranking_invariant_under_positive_scaling(seed, scale):
+def test_ranking_invariant_under_positive_scaling(seed, exponent):
+    """Scaling a query by any positive factor from 1e-30 to 1e30 keeps its
+    ranking, in float64 and in float32, where the squares of such a row
+    overflow or leave the normal range."""
     rng = np.random.default_rng(seed)
-    q = rng.normal(size=(3, 4))
-    g = rng.normal(size=(8, 4))
-    base = evaluation.similarity_matrix(q, g)
-    scaled = evaluation.similarity_matrix(q * scale, g)
-    for i in range(3):
-        assert np.array_equal(
-            evaluation.rank_gallery(base[i]), evaluation.rank_gallery(scaled[i])
-        )
+    for dtype in (np.float64, np.float32):
+        q = rng.normal(size=(3, 4)).astype(dtype)
+        g = rng.normal(size=(8, 4)).astype(dtype)
+        base = evaluation.similarity_matrix(q, g)
+        scaled = evaluation.similarity_matrix(q * 10.0**exponent, g)
+        for i in range(3):
+            assert np.array_equal(
+                evaluation.rank_gallery(base[i]), evaluation.rank_gallery(scaled[i])
+            )
+
+
+@pytest.mark.parametrize("s", [1e20, 1e-20, 1e-30, 1e-45])
+def test_similarity_matrix_float32_rows_beyond_the_squares_range(s):
+    """A float32 row whose squares overflow, are subnormal or are zero is
+    scored as its direction; ordinary rows keep the bits of their plain
+    quotient by the norm."""
+    g = np.array([[1, 0], [0, 1], [3, 4]], np.float32)
+    q = np.array([[0, s], [0, 2], [0, 0]], np.float32)
+    with np.errstate(all="raise"):
+        sims = evaluation.similarity_matrix(q, g)
+    assert sims.tolist() == [[0.0, 1.0, np.float32(0.8)], [0.0, 1.0, np.float32(0.8)], [0.0, 0.0, 0.0]]
+    unit = g / np.linalg.norm(g, axis=1, keepdims=True)
+    assert np.array_equal(evaluation.similarity_matrix(g, g), unit @ unit.T)
 
 
 def test_map_excludes_queries_without_relevant():
@@ -323,7 +420,7 @@ def test_retrieval_matches_loop_oracle(seed, zero_relevant, map_at):
     """Unpaired sets scored by _fragment, and retrieval_report, equal the
     per-query loop exactly, across more than one block of queries."""
     rng = np.random.default_rng(seed)
-    nq = int(rng.choice([3, 40, 2 * evaluation._QUERY_BLOCK + 7]))
+    nq = int(rng.choice([3, 40, 2 * ROWS + 7]))
     ng = int(rng.integers(1, 120))
     d, c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     q, g = _tied_rows(rng, nq, d), _tied_rows(rng, ng, d)
@@ -342,11 +439,13 @@ def test_retrieval_matches_loop_oracle(seed, zero_relevant, map_at):
         assert frag.map_value == map_value
 
     qs, gs = _raw_datasets(q, g, ql, gl)
-    check(_unpaired_fragment(m, qs, gs, **kw), qs, gs)
+    with _rows_per_block(ROWS, ng):
+        check(_unpaired_fragment(m, qs, gs, **kw), qs, gs)
 
     image, text = _raw_datasets(q, _tied_rows(rng, nq, d), ql, ql)
     paired = data.PairedDataset(image=image, text=text)
-    report = evaluation.retrieval_report(m, paired, **kw)
+    with _rows_per_block(ROWS, nq):
+        report = evaluation.retrieval_report(m, paired, **kw)
     check(report.fragments["ITT"], image, text)
     check(report.fragments["TTI"], text, image)
     assert report.map_avg == (report.map_itt + report.map_tti) / 2.0
