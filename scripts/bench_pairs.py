@@ -4,9 +4,12 @@
 Runs ``perfbench/run.py --trace 0`` from two checkouts, a parent tree and a
 change tree, one pair per seed and workload. The parent runs first on odd
 seeds and the change first on even seeds; the workloads of a seed run one
-after another. Each run's last JSON line is kept in ``--runs-dir``, and a
-run already kept there is read back instead of run again, so an interrupted
-series resumes.
+after another. Each run's last JSON line is kept in ``--runs-dir`` with the
+run's ``--seconds`` and a sha256 of the code behind its numbers: its tree's
+``src/cobra/*.py``, ``perfbench/*.py`` and ``BENCHMARK.json``. A kept run is
+read back instead of run again when both still match, so an interrupted
+series resumes; after an edit of any of those files in either tree, or at
+another ``--seconds``, that side's runs are made again.
 
 The summary holds, per workload and end-to-end metric of the parent's
 BENCHMARK.json: each side's median and quartiles, the pairs the change won
@@ -29,6 +32,7 @@ win on that seed too.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -49,11 +53,28 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def code_sha256(tree: Path) -> str:
+    """sha256 of the paths and bytes of `tree`'s src/cobra/*.py,
+    perfbench/*.py and BENCHMARK.json, in path order."""
+    digest = hashlib.sha256()
+    paths = [*(tree / "src" / "cobra").glob("*.py"), *(tree / "perfbench").glob("*.py"),
+             tree / "BENCHMARK.json"]
+    for path in sorted(paths):
+        body = path.read_bytes()
+        digest.update(f"{path.relative_to(tree).as_posix()}\0{len(body)}\0".encode())
+        digest.update(body)
+    return digest.hexdigest()
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, kept: Path) -> dict:
-    """One benchmark run from `tree`: its JSON result plus the env records
-    and exit code, read from `kept` when an earlier series wrote it."""
+    """One benchmark run from `tree`: its JSON result plus the env records,
+    exit code, seconds and code digest, read from `kept` when an earlier
+    series wrote it at the same seconds from the same code."""
+    stamp = {"seconds": seconds, "code_sha256": code_sha256(tree)}
     if kept.is_file():
-        return json.loads(kept.read_text(encoding="utf-8"))
+        result = json.loads(kept.read_text(encoding="utf-8"))
+        if all(result.get(k) == v for k, v in stamp.items()):
+            return result
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True, check=False)
@@ -67,7 +88,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, kept: Path) -
         fields = dict(f.split("=", 1) for f in line.split() if "=" in f)
         if "env" in fields:
             env[fields["env"]] = fields["value"]
-    result.update(returncode=proc.returncode, env=env)
+    result.update(returncode=proc.returncode, env=env, **stamp)
     kept.parent.mkdir(parents=True, exist_ok=True)
     kept.write_text(json.dumps(result), encoding="utf-8")
     return result

@@ -6,14 +6,18 @@ sets the workload up as the benchmark does, and its `cobra` package makes
 the model: the checkpoint the set-up trains (`eval` workloads) or the model
 one training round makes (`train` workloads). The parent's and the change's
 `evaluation.retrieval_report` then score that model on the test split, and
-every per-query AP, `n_excluded` and `map_avg` are compared with `==`.
+every per-query AP, `n_excluded` and `map_avg` are compared with `==`. Each
+model is scored twice: in its own dtype (float32, ranked by the integer key
+sort) and cast to float64 as a checkpoint of float64 values (a v1 file)
+loads, which `rank_gallery`'s argsort path ranks.
 
     python3 scripts/retrieval_identity.py --parent ../parent --change . \\
         --workloads eval_heldout,train_ablation,train_contrastive --seeds 1-11 \\
         --into BENCH_<n>.json
 
-prints one line per workload and seed and, with `--into`, writes the result
-into that JSON file as `per_query_ap_identity`. It exits 1 if any differ.
+prints one line per workload, seed and dtype and, with `--into`, writes
+the result into that JSON file as `per_query_ap_identity`. It exits 1 if
+any differ.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from bench_pairs import parse_seeds
 
@@ -81,12 +87,16 @@ def main(argv=None) -> int:
                     run = workloads._train(p, seed, s.loaded["train"], s.loaded["val"], Path(tmp) / "run", ledger)
                     model = run.result.model
                 test = s.loaded["test"]
-                a, b = parent_eval.retrieval_report(model, test), change_eval.retrieval_report(model, test)
-            queries = sum(len(a.fragments[d].ap_per_query) for d in DIRECTIONS)
-            same = identical(a, b)
-            print(f"workload={w} seed={seed} dtype={model.dtype} queries={queries} identical={same}", flush=True)
-            result.setdefault(w, {})[str(seed)] = {"queries": queries, "identical": same}
-    every = all(r["identical"] for per_seed in result.values() for r in per_seed.values())
+                wide = Path(tmp) / "float64.ckpt"
+                checkpoint.write_tensors(wide, {p.name: p.value.astype(np.float64) for p in model.params()})
+                for m in (model, checkpoint.load_checkpoint(wide)):
+                    a, b = parent_eval.retrieval_report(m, test), change_eval.retrieval_report(m, test)
+                    queries = sum(len(a.fragments[d].ap_per_query) for d in DIRECTIONS)
+                    same = identical(a, b)
+                    print(f"workload={w} seed={seed} dtype={m.dtype} queries={queries} identical={same}", flush=True)
+                    per_dtype = result.setdefault(w, {}).setdefault(str(m.dtype), {})
+                    per_dtype[str(seed)] = {"queries": queries, "identical": same}
+    every = all(r["identical"] for w in result.values() for d in w.values() for r in d.values())
     if args.into is not None:
         summary = json.loads(args.into.read_text(encoding="utf-8"))
         summary["per_query_ap_identity"] = {
@@ -95,7 +105,8 @@ def main(argv=None) -> int:
             "what": (
                 "retrieval_report of each workload's test split, scored by the parent's and the change's "
                 "evaluation module on the same model (eval workloads: the checkpoint the set-up trains; "
-                "train workloads: the model a round trains), per seed: every per-query AP, n_excluded and "
+                "train workloads: the model a round trains), per seed, in the model's dtype and cast to "
+                "float64 as a checkpoint of float64 values loads: every per-query AP, n_excluded and "
                 "map_avg compared with =="
             ),
             "every_seed_identical": every,

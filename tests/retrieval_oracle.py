@@ -10,9 +10,10 @@ versions cannot hide here too:
 
 - ``map_from_embeddings``, the original loop: one stable argsort and one AP
   per query;
-- ``block_fragment_aps``, the float32 block path before relevance moved into
-  the key: a key sort of ``~key << 32 | index``, a gather of the gallery
-  labels in ranked order, and AP from a full-width float64 ``cumsum``.
+- ``block_fragment_aps``, the one-thread block path before relevance moved
+  into the key: a float32 block ranked by a key sort of ``~key << 32 |
+  index`` (any other by a stable argsort), a gather of the gallery labels in
+  ranked order, and AP from a full-width float64 ``cumsum``.
 
 ``cosine_similarity`` scores one query/gallery pair, the brute-force check of
 ``evaluation.similarity_matrix``.
@@ -97,15 +98,17 @@ def block_average_precision(rel: np.ndarray) -> np.ndarray:
 
 
 def block_fragment_aps(q_emb, g_emb, q_labels, g_labels, map_at=None):
-    """(aps, found) of one float32 retrieval direction, ranked 256 queries at
-    a time: the AP of each query (0.0 where ``found`` is False, as no
+    """(aps, found) of one retrieval direction, ranked 256 queries at a time
+    on one thread: the AP of each query (0.0 where ``found`` is False, as no
     relevant item is in its ranked list)."""
     sims = evaluation.similarity_matrix(q_emb, g_emb)
     n = sims.shape[0]
     aps, found = np.zeros(n), np.zeros(n, dtype=bool)
     for start in range(0, n, 256):
         rows = slice(start, start + 256)
-        order = key_order(sims[rows])[:, :map_at]
+        block = sims[rows]
+        order = key_order(block) if block.dtype == np.float32 else rank_gallery(block)
+        order = order[:, :map_at]
         rel = g_labels[order] == q_labels[rows, None]
         hit = rel.any(axis=1)
         found[rows] = hit

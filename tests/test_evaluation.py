@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -449,6 +451,90 @@ def test_retrieval_matches_loop_oracle(seed, zero_relevant, map_at):
     check(report.fragments["ITT"], image, text)
     check(report.fragments["TTI"], text, image)
     assert report.map_avg == (report.map_itt + report.map_tti) / 2.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("blocks", [1, 2, 3, 5])
+def test_retrieval_on_two_threads_matches_both_oracles(monkeypatch, dtype, blocks):
+    """With more than one block of queries, the calling thread ranks the
+    even blocks and one worker the odd ones; a single block runs on the
+    calling thread and starts no worker. Every AP equals the one-thread
+    block oracle and the per-query loop bit for bit, with and without
+    map_at, also when the threads switch every microsecond."""
+    rng = np.random.default_rng(blocks)
+    nq, ng, d, c = (blocks - 1) * ROWS + 7, 90, 3, 3
+    q, g = _tied_rows(rng, nq, d), _tied_rows(rng, ng, d)
+    ql, gl = rng.integers(0, c, nq), rng.integers(0, c, ng)
+    m = _identity_model(d, dtype)
+    qs, gs = _raw_datasets(q, g, ql, gl)
+    q_emb, g_emb = evaluation.embed_dataset(m, qs), evaluation.embed_dataset(m, gs)
+    assert q_emb.dtype == dtype
+    ranked_on = []
+    ranked_relevance = evaluation.ranked_relevance
+
+    def recording(sims, relevant):
+        ranked_on.append(threading.get_ident())
+        return ranked_relevance(sims, relevant)
+
+    pools = []
+    executor = evaluation.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        pools.append(kwargs)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ranked_relevance", recording)
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", counting)
+    for map_at in (None, 5):
+        ranked_on.clear()
+        pools.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _rows_per_block(ROWS, ng):
+                frag = _unpaired_fragment(m, qs, gs, map_at=map_at)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(ranked_on) == blocks
+        assert pools == ([] if blocks == 1 else [{"max_workers": 1}])
+        assert ranked_on.count(threading.get_ident()) == (blocks + 1) // 2
+        assert len(set(ranked_on)) == min(blocks, 2)
+        block_aps, found = retrieval_oracle.block_fragment_aps(q_emb, g_emb, ql, gl, map_at)
+        assert frag.ap_per_query == block_aps[found].tolist()
+        aps, excluded, map_value = retrieval_oracle.map_from_embeddings(
+            q_emb, g_emb, ql, gl, map_at=map_at
+        )
+        assert (frag.ap_per_query, frag.n_excluded, frag.map_value) == (aps, excluded, map_value)
+
+
+class BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raising", ["worker", "caller"])
+def test_retrieval_block_error_propagates_and_leaves_no_thread(monkeypatch, raising):
+    """An error in a block, the worker's first (the second block) or one of
+    the calling thread's, leaves retrieval_report, and the worker is joined
+    before it does."""
+    rng = np.random.default_rng(4)
+    nq, d = 4 * ROWS + 7, 3  # five blocks per direction
+    q, t = rng.normal(size=(nq, d)), rng.normal(size=(nq, d))
+    labels = rng.integers(0, 3, nq)
+    image, text = _raw_datasets(q, t, labels, labels)
+    paired = data.PairedDataset(image=image, text=text)
+    caller = threading.get_ident()
+    average_precision = evaluation.average_precision
+
+    def failing(rel):
+        if (threading.get_ident() == caller) == (raising == "caller"):
+            raise BlockFailed(raising)
+        return average_precision(rel)
+
+    monkeypatch.setattr(evaluation, "average_precision", failing)
+    before = threading.active_count()
+    with _rows_per_block(ROWS, nq), pytest.raises(BlockFailed, match=raising):
+        evaluation.retrieval_report(_identity_model(d, np.float32), paired)
+    assert threading.active_count() == before
 
 
 def test_retrieval_report_embeds_each_modality_once(monkeypatch):

@@ -1,6 +1,7 @@
 """The scripts under scripts/, each run as its own process, as the README
 runs them."""
 
+import json
 import os
 import subprocess
 import sys
@@ -71,3 +72,53 @@ def test_synthetic_experiment_matches_cli_evaluation(tmp_path, capsys):
     )
     assert proc.stdout.splitlines()[-4:] == want
     assert want[-1].endswith(" n=6")
+
+
+FAKE_RUN = """\
+import json, pathlib, sys
+seconds = float(sys.argv[sys.argv.index("--seconds") + 1])
+scale = 1.0
+value = scale * float(pathlib.Path("src/cobra/value.py").read_text().split("=")[1])
+metrics = {"retrieval_s": {"value": value}, "run_seconds": {"value": seconds}}
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
+"""
+
+
+def test_bench_pairs_runs_again_after_a_code_edit_or_new_seconds(tmp_path):
+    """A kept run is reused only at the same --seconds and the same
+    src/cobra and perfbench: after any of them changes, the series is not a
+    mix of old and new runs."""
+    spec = {"end_to_end": [
+        {"name": n, "unit": "s", "better": "lower", "bound": 0.25}
+        for n in ("retrieval_s", "run_seconds")
+    ]}
+    trees = {}
+    for side, value in (("parent", "1.0"), ("change", "0.5")):
+        tree = trees[side] = tmp_path / side
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "src" / "cobra").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (tree / "src" / "cobra" / "value.py").write_text(f"VALUE = {value}\n")
+        (tree / "BENCHMARK.json").write_text(json.dumps(spec))
+    out = tmp_path / "bench.json"
+
+    def series(seconds: str) -> dict:
+        proc = run_script(
+            "bench_pairs.py", "--parent", str(trees["parent"]), "--change", str(trees["change"]),
+            "--workloads", "w", "--seeds", "1-2", "--seconds", seconds,
+            "--runs-dir", str(tmp_path / "runs"), "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(out.read_text())["per_seed"]["w"]
+
+    first = series("1")
+    assert first["retrieval_s"]["change"] == [0.5, 0.5]
+    (trees["change"] / "src" / "cobra" / "value.py").write_text("VALUE = 0.25\n")
+    edited = series("1")
+    assert edited["retrieval_s"] == {"seeds": [1, 2], "parent": [1.0, 1.0], "change": [0.25, 0.25]}
+    run_py = trees["change"] / "perfbench" / "run.py"
+    run_py.write_text(FAKE_RUN.replace("scale = 1.0", "scale = 2.0"))
+    rerun = series("1")
+    assert rerun["retrieval_s"] == {"seeds": [1, 2], "parent": [1.0, 1.0], "change": [0.5, 0.5]}
+    longer = series("2")
+    assert longer["run_seconds"] == {"seeds": [1, 2], "parent": [2.0, 2.0], "change": [2.0, 2.0]}
