@@ -16,7 +16,9 @@ BENCHMARK.json: each side's median and quartiles, the pairs the change won
 and lost (ties count for neither), the signed relative change of the medians
 (positive is better), the parent's IQR, and whether the change stays within
 the metric's bound. A metric whose parent IQR is wider than its bound is
-unresolved, unless every change run beats every parent run.
+unresolved, unless every change run beats every parent run. Per workload,
+``identical_quality`` says for each of map_avg and accuracy whether every
+seed read the same on both sides.
 ``--claim WORKLOAD:METRIC:RATIO`` adds the verdict on a claimed gain: the
 change median at most RATIO times the parent's (at least, for a
 higher-is-better metric), wins in at least 9 of 10 pairs, a median
@@ -218,9 +220,9 @@ def main(argv=None) -> int:
         end_to_end[w] = {m: compare(specs[m], values["parent"][m], values["change"][m]) for m in specs}
         per_seed[w] = {m: {"seeds": seeds, **{side: values[side][m] for side in SIDES}} for m in specs}
         per_seed[w]["failed"] = {side: [runs[w][s][side]["failed"] for s in seeds] for side in SIDES}
-        per_seed[w]["identical_quality"] = all(
-            values["parent"][m] == values["change"][m] for m in QUALITY if m in specs
-        )
+        per_seed[w]["identical_quality"] = {
+            m: values["parent"][m] == values["change"][m] for m in QUALITY if m in specs
+        }
     passed = all(r["correct"] and r["returncode"] == 0 for r in every)
     summary = {
         "what": args.what,

@@ -113,7 +113,10 @@ def _check_affine(seed: int) -> CheckResult:
     )
 
 
-def _check_head(seed: int) -> CheckResult:
+def _check_head(name: str, seed: int, dropout: bool) -> CheckResult:
+    """The fusion head under cross-entropy, in eval mode or, with `dropout`,
+    in training mode: every forward draws its masks from a fresh generator
+    of `seed`, so the masks repeat and the loss is a function of the params."""
     rng = np.random.default_rng(seed)
     head = model_mod.init_head(3, 3, seed=seed, dtype=np.float64, hidden=(5, 4, 3))
     for p in head.params():
@@ -123,13 +126,14 @@ def _check_head(seed: int) -> CheckResult:
     y = np.array([0, 1, 2, 1])
 
     def forward():
-        hc = model_mod.classify_cached(head, o_t, o_i)
+        drop_rng = np.random.default_rng(seed) if dropout else None
+        hc = model_mod.classify_cached(head, o_t, o_i, rng=drop_rng)
         return hc, softmax_cross_entropy(hc.output, y)
 
     hc, (_, d_logits) = forward()
     model_mod.classify_backward(head, hc, d_logits)
     analytic = {p.name: p.grad for p in head.params()}
-    return _compare("classifier_cross_entropy", analytic, lambda: forward()[1][0], head.params())
+    return _compare(name, analytic, lambda: forward()[1][0], head.params())
 
 
 def run_gradcheck(seed: int = 0) -> list[CheckResult]:
@@ -163,5 +167,6 @@ def run_gradcheck(seed: int = 0) -> list[CheckResult]:
             seed,
         )
     )
-    results.append(_check_head(seed))
+    results.append(_check_head("classifier_cross_entropy", seed, dropout=False))
+    results.append(_check_head("classifier_cross_entropy_dropout", seed, dropout=True))
     return results

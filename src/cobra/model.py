@@ -8,11 +8,17 @@ Classifier: Concat -> FC(2Z, 512) ReLU Drop(.5) -> FC(512, 128) ReLU Drop(.5)
             -> FC(128, 64) ReLU Drop(.2) -> FC(64, C_task)
 
 In every MLP a ReLU follows every layer but the last, which is linear; the
-head's dropout follows those ReLUs in training forwards only. The joint
-dimension Z equals the class count C: the supervised objective regresses
-projections onto one-hot labels, which fixes the width. Every width is read
-from the weights. Each layer's name and shape is stated once, in build_model
-and build_head, which init_* and the checkpoint loaders both call.
+head's dropout follows those ReLUs in training forwards only. There the two
+are one mask (nn.relu_dropout): keep & (pre > 0) times the survivor scale
+2**16 / (2**16 - t), where a unit is kept when its 16-bit random word is
+>= t = round(p * 2**16). So Drop(.5) is exact, and Drop(.2) drops with
+probability 13107/65536 = 0.199997 and scales survivors by 65536/52429.
+
+The joint dimension Z equals the class count C: the supervised objective
+regresses projections onto one-hot labels, which fixes the width. Every
+width is read from the weights. Each layer's name and shape is stated once,
+in build_model and build_head, which init_* and the checkpoint loaders both
+call.
 """
 
 from __future__ import annotations
@@ -98,7 +104,9 @@ class ClassifierHead:
 
 @dataclass
 class MlpCache:
-    """Per-layer inputs and pre-activations of one MLP forward pass."""
+    """Per-layer inputs and pre-activations of one MLP forward pass, and the
+    masks of its dropout layers. A dropout layer's pre-activation was
+    overwritten by its output; its backward reads the mask alone."""
 
     inputs: list[np.ndarray]
     pres: list[np.ndarray]
@@ -130,20 +138,20 @@ def _mlp_forward(
     rng: np.random.Generator | None = None,
 ) -> MlpCache:
     """Forward through affine layers; ReLU after every layer but the last,
-    the i-th followed by dropout of probability dropout_p[i] if given."""
+    the i-th fused with dropout of probability dropout_p[i] if given."""
     inputs, pres, masks = [], [], []
     h = x
     for i, (w, b) in enumerate(layers):
         inputs.append(h)
         pre = nn.affine_forward(h, w.value, b.value)
-        pres.append(pre)
         mask = None
-        if i < len(layers) - 1:
-            h = nn.relu(pre)
-            if i < len(dropout_p):
-                h, mask = nn.dropout(h, dropout_p[i], rng)
-        else:
+        if i == len(layers) - 1:
             h = pre
+        elif i < len(dropout_p):
+            h, mask = nn.relu_dropout(pre, dropout_p[i], rng)
+        else:
+            h = nn.relu(pre)
+        pres.append(pre)
         masks.append(mask)
     return MlpCache(inputs=inputs, pres=pres, output=h, masks=masks)
 
@@ -155,8 +163,9 @@ def _mlp_backward(cache: MlpCache, layers: list[Layer], d_out: np.ndarray) -> np
         w, b = layers[i]
         if i < len(layers) - 1:
             if cache.masks[i] is not None:
-                d = d * cache.masks[i]
-            d = nn.relu_backward(cache.pres[i], d)
+                d *= cache.masks[i]  # the ReLU's gradient and the dropout's
+            else:
+                d = nn.relu_backward(cache.pres[i], d)
         d = nn.affine_backward(cache.inputs[i], w.value, d, w.grad, b.grad)
     return d
 

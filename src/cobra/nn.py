@@ -6,6 +6,7 @@ checking requires float64 (finite differences are unreliable in 32-bit).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -95,14 +96,40 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return upstream * (x > 0.0)
 
 
-def dropout(x: np.ndarray, p: float, rng: np.random.Generator):
-    """Inverted dropout, run in training forwards only: survivors scaled by
-    1/(1-p). Returns (y, mask); the backward pass is upstream * mask."""
-    if not 0.0 <= p < 1.0:
-        raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
-    keep = rng.random(x.shape) >= p
-    mask = keep.astype(x.dtype) / x.dtype.type(1.0 - p)
-    return x * mask, mask
+_WORD = 1 << 16  # keep_mask draws one 16-bit word per unit
+
+
+def keep_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator):
+    """Inverted-dropout keep draws for an array of `shape` at drop probability p.
+
+    Each unit takes one 16-bit word of the generator's raw 64-bit output (four
+    units per output) and is kept when its word is >= t = round(p * 2**16). So
+    the realised drop probability is t / 2**16: p = 0.5 is exact, and p = 0.2
+    runs at 13107/65536 = 0.199997. Returns (keep, scale): a bool array and
+    the survivor scale 2**16 / (2**16 - t), which makes E[keep * scale]
+    exactly 1 at the realised p. A p outside [0, 1), or one that rounds to
+    t = 2**16, is a ParameterError.
+    """
+    t = round(p * _WORD) if 0.0 <= p < 1.0 else _WORD
+    if t >= _WORD:
+        raise ParameterError(f"dropout probability must be in [0, 1 - 2**-17), got {p}")
+    n = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
+    return (words >= t).reshape(shape), _WORD / (_WORD - t)
+
+
+def relu_dropout(pre: np.ndarray, p: float, rng: np.random.Generator):
+    """ReLU followed by inverted dropout, fused, for training forwards.
+
+    Returns (h, mask): mask = keep & (pre > 0) times the survivor scale of
+    keep_mask, and h = pre * mask, written into `pre`. The mask holds the
+    ReLU's gradient as well, so the backward pass is upstream * mask alone.
+    """
+    keep, scale = keep_mask(pre.shape, p, rng)
+    keep &= pre > 0.0
+    mask = np.multiply(keep, pre.dtype.type(scale))
+    pre *= mask
+    return pre, mask
 
 
 _CHUNK = 1 << 16  # elements per sgd_step update chunk

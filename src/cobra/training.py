@@ -167,7 +167,7 @@ def validation_loss(
 
 def train(
     train_pair: PairedDataset,
-    val_pair: PairedDataset,
+    val_pair: PairedDataset | None,
     config: TrainConfig,
     out_dir=None,
     log_stream=None,
@@ -177,14 +177,17 @@ def train(
     out_dir is given, emits one epoch record per epoch and then one record
     naming the epoch with the lowest validation loss. A non-finite training
     or validation loss halts with a NumericError, after that epoch's record
-    when it is the validation loss."""
-    if train_pair.num_classes != val_pair.num_classes:
-        raise ConfigError("train and validation class counts differ")
-    if (
-        train_pair.image.dim != val_pair.image.dim
-        or train_pair.text.dim != val_pair.text.dim
-    ):
-        raise ConfigError("train and validation feature dims differ")
+    when it is the validation loss. With no `val_pair` no validation loss is
+    computed: every val_total reads nan, no best.ckpt is written and
+    best_epoch is None."""
+    if val_pair is not None:
+        if train_pair.num_classes != val_pair.num_classes:
+            raise ConfigError("train and validation class counts differ")
+        if (
+            train_pair.image.dim != val_pair.image.dim
+            or train_pair.text.dim != val_pair.text.dim
+        ):
+            raise ConfigError("train and validation feature dims differ")
 
     streams = RngStreams(config.seed)
     m = model_mod.init_model(
@@ -213,7 +216,9 @@ def train(
             sums += (bd.l_r, bd.l_m, bd.l_s, bd.l_c, bd.total)
             skipped += bd.skipped_anchors
             clamped += bd.clamped_scores
-        val_total = validation_loss(state.model, val_pair, config, streams)
+        val_total = np.nan
+        if val_pair is not None:
+            val_total = validation_loss(state.model, val_pair, config, streams)
         report = EpochReport(
             epoch=epoch,
             l_r=sums[0] / iters,
@@ -228,7 +233,7 @@ def train(
         )
         reports.append(report)
         _emit(report.record(), echo, log_stream)
-        if not np.isfinite(val_total):
+        if val_pair is not None and not np.isfinite(val_total):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
 
         if val_total < state.best_val:
@@ -286,13 +291,11 @@ def contrastive_ablation(
     """Held-out retrieval mAP of training with the contrastive weight
     `lambda_c` and without it, each other setting at TrainConfig's default.
 
-    Seed k splits the data drawn from `spec` 0.8/0.2 and trains both arms on
-    the 0.8 part with seed k. Returns the per-seed (map_with, map_without)
-    pairs and the number of seeds where map_with >= map_without (ties win).
-
-    The 0.2 test part is also `train`'s validation set. That does not leak:
-    `train` returns the last epoch's model, and the validation loss only
-    chooses the epoch best.ckpt holds, which is not written here.
+    Seed k splits the data drawn from `spec` 0.8/0.2, trains both arms on
+    the 0.8 part with seed k and no validation set (`train` returns the last
+    epoch's model), and scores them on the 0.2 part. Returns the per-seed
+    (map_with, map_without) pairs and the number of seeds where map_with >=
+    map_without (ties win).
     """
     paired = data.generate_synthetic(spec)
     scores = []
@@ -303,7 +306,7 @@ def contrastive_ablation(
             cfg = TrainConfig(
                 epochs=epochs, batch=batch, seed=seed, weights=LossWeights(lambda_c=weight)
             )
-            trained = train(train_set, test_set, cfg, echo=False).model
+            trained = train(train_set, None, cfg, echo=False).model
             return evaluation.retrieval_report(trained, test_set).map_avg
 
         scores.append((held_out_map(lambda_c), held_out_map(0.0)))

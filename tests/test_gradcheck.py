@@ -1,10 +1,11 @@
 import pytest
 
-from cobra import gradcheck, losses
+from cobra import gradcheck, losses, nn
 
 from conftest import scale_relu_backward
 
-# every check the relu_backward of model._mlp_backward takes part in
+# every check the relu_backward of model._mlp_backward takes part in; the
+# training-mode head is not one, as its ReLUs are fused with dropout
 RELU_CHECKS = {
     "loss_r",
     "loss_m",
@@ -43,6 +44,7 @@ def test_covers_every_loss_component_and_head(results):
         "loss_c_nce_literal",
         "loss_total",
         "classifier_cross_entropy",
+        "classifier_cross_entropy_dropout",
     } <= {r.name for r in results}
 
 
@@ -51,6 +53,19 @@ def test_relu_backward_fault_is_caught(monkeypatch):
     backpropagate through an MLP."""
     scale_relu_backward(monkeypatch)
     assert _failing(gradcheck.run_gradcheck(seed=0)) == RELU_CHECKS
+
+
+def test_dropout_mask_backward_fault_is_caught(monkeypatch):
+    """A 0.1% error in the mask that _mlp_backward's dropout branch
+    multiplies by fails exactly the training-mode head's check."""
+    relu_dropout = nn.relu_dropout
+
+    def faulty(pre, p, rng):
+        h, mask = relu_dropout(pre, p, rng)
+        return h, 1.001 * mask
+
+    monkeypatch.setattr(nn, "relu_dropout", faulty)
+    assert _failing(gradcheck.run_gradcheck(seed=0)) == {"classifier_cross_entropy_dropout"}
 
 
 def test_nce_image_gradient_fault_is_caught(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from cobra import nn
 from cobra.errors import NumericError, ParameterError, ShapeError
+from cobra.model import HEAD_DROPOUT
 from cobra.nn import Param
 
 
@@ -92,28 +93,69 @@ def test_relu_backward_nonfinite_upstream_stays_nonfinite():
     assert np.isnan(g[0, 0]) and np.isnan(g[0, 1]) and g[0, 2] == np.inf
 
 
-def test_dropout_p_zero_identity():
-    x = np.ones((3, 3))
-    y, _ = nn.dropout(x, 0.0, np.random.default_rng(1))
-    assert np.array_equal(y, x)
+def test_relu_dropout_p_zero_keeps_every_positive_unit():
+    pre = np.array([[1.5, -2.0, 0.0, -0.0, 3.0, 1e-30]])
+    want = nn.relu(pre)
+    h, mask = nn.relu_dropout(pre.copy(), 0.0, np.random.default_rng(1))
+    assert np.array_equal(mask, [[1.0, 0.0, 0.0, 0.0, 1.0, 1.0]])
+    assert np.array_equal(h, want)
 
 
-def test_dropout_survivor_fraction():
-    x = np.ones((100, 1000))
-    _, mask = nn.dropout(x, 0.5, np.random.default_rng(2))
-    assert abs(np.mean(mask > 0) - 0.5) < 0.01
+def test_relu_dropout_mask_is_keep_and_positive_times_scale():
+    """mask = keep & (pre > 0) * scale, and h = pre * mask overwrites pre."""
+    pre = np.random.default_rng(3).normal(size=(7, 9)).astype(np.float32)
+    keep, scale = nn.keep_mask(pre.shape, 0.2, np.random.default_rng(4))
+    want_mask = (keep & (pre > 0)) * np.float32(scale)
+    want_h = pre * want_mask
+    positive = np.count_nonzero(pre > 0)
+    h, mask = nn.relu_dropout(pre, 0.2, np.random.default_rng(4))
+    assert h is pre
+    assert mask.dtype == h.dtype == np.float32
+    assert mask.tobytes() == want_mask.tobytes() and h.tobytes() == want_h.tobytes()
+    assert 0 < np.count_nonzero(mask) < positive
 
 
-def test_dropout_invalid_p():
+@pytest.mark.parametrize("p", sorted(set(HEAD_DROPOUT)))
+def test_keep_mask_survivor_fraction_and_unit_mean(p):
+    """On 10**6 units the kept fraction is within 5 sigma of 1 - t/2**16, and
+    the mean of keep * scale within 5 sigma of 1."""
+    n = 10**6
+    t = round(p * 2**16)
+    q = 1 - t / 2**16
+    keep, scale = nn.keep_mask((1000, 1000), p, np.random.default_rng(2))
+    assert keep.shape == (1000, 1000) and keep.dtype == bool
+    assert scale == 2**16 / (2**16 - t)
+    sigma = np.sqrt(q * (1 - q) / n)
+    assert abs(keep.mean() - q) < 5 * sigma
+    assert abs((keep * scale).mean() - 1.0) < 5 * sigma * scale
+
+
+def test_keep_mask_takes_a_quarter_raw_output_per_unit():
+    """Units take consecutive 16-bit words of ceil(n/4) raw outputs."""
+    rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+    keep, _ = nn.keep_mask((3, 7), 0.5, rng)
+    words = replay.bit_generator.random_raw(6).view(np.uint16)[:21]
+    assert np.array_equal(keep, (words >= 2**15).reshape(3, 7))
+    assert rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("p", [1.0, -0.1, 1 - 2**-17, np.nan])
+def test_keep_mask_invalid_p(p):
     with pytest.raises(ParameterError):
-        nn.dropout(np.ones((1, 1)), 1.0, np.random.default_rng(0))
+        nn.keep_mask((1, 1), p, np.random.default_rng(0))
     with pytest.raises(ParameterError):
-        nn.dropout(np.ones((1, 1)), -0.1, np.random.default_rng(0))
+        nn.relu_dropout(np.ones((1, 1)), p, np.random.default_rng(0))
 
 
-def test_dropout_backward_linear_in_upstream():
+def test_keep_mask_largest_p():
+    """The largest p whose t is below 2**16 scales survivors by 2**16."""
+    _, scale = nn.keep_mask((4,), 1 - 2**-16, np.random.default_rng(0))
+    assert scale == 2**16
+
+
+def test_relu_dropout_backward_linear_in_upstream():
     x = np.random.default_rng(3).normal(size=(5, 5))
-    _, mask = nn.dropout(x, 0.4, np.random.default_rng(3))
+    _, mask = nn.relu_dropout(x, 0.4, np.random.default_rng(3))
     u1 = np.random.default_rng(4).normal(size=(5, 5))
     u2 = np.random.default_rng(5).normal(size=(5, 5))
     assert np.allclose((u1 + 2 * u2) * mask, u1 * mask + 2 * (u2 * mask))

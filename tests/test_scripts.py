@@ -84,41 +84,61 @@ print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metri
 """
 
 
-def test_bench_pairs_runs_again_after_a_code_edit_or_new_seconds(tmp_path):
-    """A kept run is reused only at the same --seconds and the same
-    src/cobra and perfbench: after any of them changes, the series is not a
-    mix of old and new runs."""
+def _fake_trees(tmp_path, names, run) -> dict:
+    """A parent and a change checkout whose perfbench/run.py is `run`, which
+    reads VALUE from src/cobra/value.py, and whose BENCHMARK.json lists
+    lower-is-better metrics `names`."""
     spec = {"end_to_end": [
-        {"name": n, "unit": "s", "better": "lower", "bound": 0.25}
-        for n in ("retrieval_s", "run_seconds")
+        {"name": n, "unit": "s", "better": "lower", "bound": 0.25} for n in names
     ]}
     trees = {}
     for side, value in (("parent", "1.0"), ("change", "0.5")):
         tree = trees[side] = tmp_path / side
         (tree / "perfbench").mkdir(parents=True)
         (tree / "src" / "cobra").mkdir(parents=True)
-        (tree / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (tree / "perfbench" / "run.py").write_text(run)
         (tree / "src" / "cobra" / "value.py").write_text(f"VALUE = {value}\n")
         (tree / "BENCHMARK.json").write_text(json.dumps(spec))
+    return trees
+
+
+def _bench_pairs(tmp_path, trees, seconds="1") -> dict:
     out = tmp_path / "bench.json"
+    proc = run_script(
+        "bench_pairs.py", "--parent", str(trees["parent"]), "--change", str(trees["change"]),
+        "--workloads", "w", "--seeds", "1-2", "--seconds", seconds,
+        "--runs-dir", str(tmp_path / "runs"), "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())["per_seed"]["w"]
 
-    def series(seconds: str) -> dict:
-        proc = run_script(
-            "bench_pairs.py", "--parent", str(trees["parent"]), "--change", str(trees["change"]),
-            "--workloads", "w", "--seeds", "1-2", "--seconds", seconds,
-            "--runs-dir", str(tmp_path / "runs"), "--out", str(out),
-        )
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(out.read_text())["per_seed"]["w"]
 
-    first = series("1")
+def test_bench_pairs_runs_again_after_a_code_edit_or_new_seconds(tmp_path):
+    """A kept run is reused only at the same --seconds and the same
+    src/cobra and perfbench: after any of them changes, the series is not a
+    mix of old and new runs."""
+    trees = _fake_trees(tmp_path, ("retrieval_s", "run_seconds"), FAKE_RUN)
+    first = _bench_pairs(tmp_path, trees)
     assert first["retrieval_s"]["change"] == [0.5, 0.5]
     (trees["change"] / "src" / "cobra" / "value.py").write_text("VALUE = 0.25\n")
-    edited = series("1")
+    edited = _bench_pairs(tmp_path, trees)
     assert edited["retrieval_s"] == {"seeds": [1, 2], "parent": [1.0, 1.0], "change": [0.25, 0.25]}
     run_py = trees["change"] / "perfbench" / "run.py"
     run_py.write_text(FAKE_RUN.replace("scale = 1.0", "scale = 2.0"))
-    rerun = series("1")
+    rerun = _bench_pairs(tmp_path, trees)
     assert rerun["retrieval_s"] == {"seeds": [1, 2], "parent": [1.0, 1.0], "change": [0.5, 0.5]}
-    longer = series("2")
+    longer = _bench_pairs(tmp_path, trees, seconds="2")
     assert longer["run_seconds"] == {"seeds": [1, 2], "parent": [2.0, 2.0], "change": [2.0, 2.0]}
+
+
+def test_bench_pairs_reports_identical_quality_per_metric(tmp_path):
+    """identical_quality holds one verdict per quality metric: here map_avg
+    reads the same on every seed and accuracy moved."""
+    run = FAKE_RUN.replace(
+        'metrics = {"retrieval_s": {"value": value}, "run_seconds": {"value": seconds}}',
+        'metrics = {"map_avg": {"value": 0.9}, "accuracy": {"value": value}}',
+    )
+    trees = _fake_trees(tmp_path, ("map_avg", "accuracy"), run)
+    assert _bench_pairs(tmp_path, trees)["identical_quality"] == {
+        "map_avg": True, "accuracy": False
+    }

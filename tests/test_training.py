@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import head_step_oracle
 import train_step_oracle as oracle
 from cobra import checkpoint, data, model as model_mod, nn, training
 from cobra.errors import ConfigError, NumericError
@@ -172,6 +173,27 @@ def test_train_halts_on_non_finite_validation_loss_at_first_epoch(tmp_path, monk
     assert len(lines) == 1 and lines[0].startswith("epoch=1 ")
     assert "val_total=nan" in lines[0]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_train_without_validation_set_trains_the_same_model(tmp_path, monkeypatch):
+    """No validation set: no validation loss, val_total nan without a halt,
+    no best.ckpt, and the final model bit-identical to a run with one."""
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    train_pair, val_pair = data.split(paired, [0.8, 0.2], seed=0)
+    cfg = small_config(epochs=3)
+    with_val = training.train(train_pair, val_pair, cfg, echo=False).model
+
+    def not_called(*a):
+        raise AssertionError("validation_loss ran without a validation set")
+
+    monkeypatch.setattr(training, "validation_loss", not_called)
+    result = training.train(train_pair, None, cfg, out_dir=tmp_path, echo=False)
+    assert all(np.isnan(r.val_total) for r in result.reports)
+    assert result.best_epoch is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["final.ckpt"]
+    assert result.best_path == str(tmp_path / "final.ckpt")
+    for a, b in zip(result.model.params(), with_val.params()):
+        assert a.value.tobytes() == b.value.tobytes(), a.name
 
 
 def test_train_records_best_epoch_without_out_dir():
@@ -399,3 +421,52 @@ def test_train_step_and_head_steps_match_oracle(monkeypatch, lambda_c):
     for (name, value, grad), (_, ref_value, ref_grad) in zip(production, reference):
         assert value.dtype == np.float32 and value.tobytes() == ref_value.tobytes(), name
         assert np.array_equal(grad, ref_grad), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_head_steps_on_float64_draws_match_unfused_oracle(monkeypatch, dtype):
+    """With nn.keep_mask drawing as the unfused step did, the fused ReLU and
+    dropout train a head byte-identical to relu, dropout and relu_backward
+    run one after another."""
+    paired = tiny_paired(classes=3, per_class=8, d_image=6, d_text=5)
+    m = model_mod.init_model(6, 5, 3, seed=0, dtype=dtype, hidden_dim=16, latent_dim=8)
+
+    def run():
+        head = training.train_classifier(m, paired, head_config=HeadConfig(epochs=2, batch=8))
+        return [(p.name, p.value.tobytes(), p.value.dtype) for p in head.params()]
+
+    monkeypatch.setattr(nn, "keep_mask", head_step_oracle.keep_mask)
+    production = run()
+    monkeypatch.setattr(model_mod, "classify_cached", head_step_oracle.classify_cached)
+    monkeypatch.setattr(model_mod, "classify_backward", head_step_oracle.classify_backward)
+    reference = run()
+    assert len(production) == 8
+    for (name, value, got), (_, ref_value, _) in zip(production, reference):
+        assert got == dtype and value == ref_value, name
+
+
+def test_train_classifier_draws_the_minibatches_of_the_minibatch_stream(monkeypatch):
+    """The minibatch stream does not depend on how the dropout stream is
+    drawn: seed 3 gives the four minibatches it gave with float64 dropout
+    draws, in order."""
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    m = model_mod.init_model(6, 5, 3, seed=0)
+    o_text = training.evaluation.embed_dataset(m, paired.text)
+    seen = []
+    classify_cached = model_mod.classify_cached
+
+    def recording(head, o_t, o_i, rng=None):
+        seen.append(o_t.copy())
+        return classify_cached(head, o_t, o_i, rng=rng)
+
+    monkeypatch.setattr(model_mod, "classify_cached", recording)
+    training.train_classifier(m, paired, head_config=HeadConfig(epochs=1, batch=8, seed=3))
+    drawn = [
+        [14, 15, 25, 16, 3, 29, 27, 2],
+        [5, 27, 6, 12, 0, 11, 28, 14],
+        [18, 24, 10, 21, 20, 28, 25, 26],
+        [11, 0, 14, 28, 21, 3, 7, 19],
+    ]
+    assert len(seen) == len(drawn)
+    for got, idx in zip(seen, drawn):
+        assert got.tobytes() == o_text[idx].tobytes()
