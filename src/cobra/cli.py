@@ -61,12 +61,17 @@ def read_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise CobraError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        key = key.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "reduction":  # retired: older run.logs read mean, which is ignored
+            if value != "mean":
+                raise CobraError(
+                    f"{path}:{lineno}: reduction is retired, the squared-error losses are "
+                    "means; reduction=sum trains as eta x batch, lambda_r x 2, lambda_c / batch"
+                )
+            continue
         if key not in TRAIN_SETTINGS:
             raise CobraError(f"{path}:{lineno}: unknown config key {key!r}")
         default, kind, _ = TRAIN_SETTINGS[key]
-        value = value.strip()
         if default is None and value == "None":  # as run.log records it
             out[key] = None
             continue

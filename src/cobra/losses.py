@@ -1,7 +1,10 @@
 """The four training objectives and their gradients.
 
 Reconstruction, cross-modal alignment and supervised (one-hot regression)
-losses are squared-error sums; the contrastive term comes in two variants:
+losses are squared errors, each divided by its row count: 2B for the
+reconstruction term (both modalities' rows), B for the other two, so the
+loss weights do not depend on the batch size B. The contrastive term, a
+mean over drawn sets, comes in two variants:
 
 * ``setform`` -- softmax contrast of an anchor against one positive and N
   negatives. The printed score is a raw dot product, which is ill-defined
@@ -12,10 +15,6 @@ losses are squared-error sums; the contrastive term comes in two variants:
   over the minibatch pool. The joint density of a candidate given the anchor
   is softmax(anchor . candidate / temperature) over all other rows of the
   minibatch. Default is the log-likelihood form; ``literal`` drops the logs.
-
-With ``reduction="mean"`` each squared-error component is divided by the
-minibatch size so the loss weights are batch-size independent; ``sum`` keeps
-the raw sums. The contrastive term is always a mean over drawn sets.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ CLAMP_FLOOR = 1e-12
 CONTRASTIVE_VARIANTS = ("setform", "nce")
 SCORE_MODES = ("exp", "literal")  # setform
 NCE_FORMS = ("log", "literal")
-REDUCTIONS = ("mean", "sum")
 
 
 def check_choice(name: str, value, choices: tuple):
@@ -90,13 +88,8 @@ class LossBreakdown:
     clamped_scores: int = 0
 
 
-def _scale(reduction: str, n: int) -> float:
-    check_choice("reduction", reduction, REDUCTIONS)
-    return 1.0 / n if reduction == "mean" else 1.0
-
-
-def recon_loss(x_hat_image, x_image, x_hat_text, x_text, *, reduction: str):
-    """Sum of squared reconstruction errors over both modalities.
+def recon_loss(x_hat_image, x_image, x_hat_text, x_text):
+    """Squared reconstruction error over both modalities, per row.
 
     Returns (value, grad_xhat_image, grad_xhat_text).
     """
@@ -105,15 +98,15 @@ def recon_loss(x_hat_image, x_image, x_hat_text, x_text, *, reduction: str):
             f"recon_loss: shapes {x_hat_image.shape}/{x_image.shape} and "
             f"{x_hat_text.shape}/{x_text.shape} must match per modality"
         )
-    s = _scale(reduction, x_image.shape[0] + x_text.shape[0])
+    s = 1.0 / (x_image.shape[0] + x_text.shape[0])
     r_i = x_hat_image - x_image
     r_t = x_hat_text - x_text
     value = s * (float(np.sum(r_i * r_i)) + float(np.sum(r_t * r_t)))
     return value, 2.0 * s * r_i, 2.0 * s * r_t
 
 
-def cross_modal_loss(o_text, o_image, *, reduction: str):
-    """Squared distance between index-aligned joint projections.
+def cross_modal_loss(o_text, o_image):
+    """Squared distance between index-aligned joint projections, per pair.
 
     Returns (value, grad_o_text, grad_o_image).
     """
@@ -122,13 +115,13 @@ def cross_modal_loss(o_text, o_image, *, reduction: str):
             f"cross_modal_loss: {o_text.shape} vs {o_image.shape}; rows must be "
             "index-aligned pairs"
         )
-    s = _scale(reduction, o_text.shape[0])
+    s = 1.0 / o_text.shape[0]
     r = o_text - o_image
     return s * float(np.sum(r * r)), 2.0 * s * r, -2.0 * s * r
 
 
-def supervised_loss(o, labels, num_classes, *, reduction: str):
-    """Squared distance from each projection to its one-hot label.
+def supervised_loss(o, labels, num_classes):
+    """Squared distance from each projection to its one-hot label, per row.
 
     Returns (value, grad_o). Call once per modality and sum.
     """
@@ -143,7 +136,7 @@ def supervised_loss(o, labels, num_classes, *, reduction: str):
         raise ShapeError(f"{labels.shape[0]} labels for {o.shape[0]} rows")
     y = np.zeros_like(o)
     y[np.arange(o.shape[0]), labels] = 1.0
-    s = _scale(reduction, o.shape[0])
+    s = 1.0 / o.shape[0]
     r = o - y
     return s * float(np.sum(r * r)), 2.0 * s * r
 
@@ -332,7 +325,7 @@ def total_loss(
     """Assembles the weighted objective and its upstream gradients from a
     ForwardCache, with the weights and loss settings of `cfg`. Component
     gradients targeting the same tensor are summed with their weights applied."""
-    weights, reduction = cfg.weights, cfg.reduction
+    weights = cfg.weights
     img, txt = cache.image, cache.text
     bd = LossBreakdown(
         d_o_image=np.zeros_like(img.o),
@@ -341,20 +334,18 @@ def total_loss(
         d_xhat_text=np.zeros_like(txt.x_hat),
     )
 
-    bd.l_r, g_xi, g_xt = recon_loss(
-        img.x_hat, img.x, txt.x_hat, txt.x, reduction=reduction
-    )
+    bd.l_r, g_xi, g_xt = recon_loss(img.x_hat, img.x, txt.x_hat, txt.x)
     bd.d_xhat_image += weights.lambda_r * g_xi
     bd.d_xhat_text += weights.lambda_r * g_xt
 
     if weights.lambda_m > 0:
-        bd.l_m, g_ot, g_oi = cross_modal_loss(txt.o, img.o, reduction=reduction)
+        bd.l_m, g_ot, g_oi = cross_modal_loss(txt.o, img.o)
         bd.d_o_text += weights.lambda_m * g_ot
         bd.d_o_image += weights.lambda_m * g_oi
 
     c = img.o.shape[1]
-    l_s_i, g_si = supervised_loss(img.o, labels_image, c, reduction=reduction)
-    l_s_t, g_st = supervised_loss(txt.o, labels_text, c, reduction=reduction)
+    l_s_i, g_si = supervised_loss(img.o, labels_image, c)
+    l_s_t, g_st = supervised_loss(txt.o, labels_text, c)
     bd.l_s = l_s_i + l_s_t
     bd.d_o_image += weights.lambda_s * g_si
     bd.d_o_text += weights.lambda_s * g_st

@@ -56,7 +56,6 @@ class TrainConfig:
     temperature: float = 1.0
     seed: int = 0
     checkpoint_every: int = 0  # epochs; 0 disables periodic checkpoints
-    reduction: str = _choice("mean", losses.REDUCTIONS)
 
     def __post_init__(self):
         minimum = dict(epochs=1, batch=1, n_negatives=1, seed=0, checkpoint_every=0)
@@ -314,15 +313,18 @@ def contrastive_ablation(
     return scores, wins
 
 
+# The fusion head's SGD step size and minibatch size
+HEAD_ETA = 0.05
+HEAD_BATCH = 128
+
+
 @dataclass
 class HeadConfig:
-    eta: float = 0.05
     epochs: int = 100
-    batch: int = 128
     seed: int = 0
 
     def __post_init__(self):
-        _check_ranges(self, ("eta",), dict(epochs=1, batch=1, seed=0))
+        _check_ranges(self, minimum=dict(epochs=1, seed=0))
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -360,7 +362,7 @@ def train_classifier(
     streams = RngStreams(cfg.seed)
     mb_rng = streams.get("minibatch")
     drop_rng = streams.get("dropout")
-    b = _clip_batch(cfg.batch, paired.n_pairs)
+    b = _clip_batch(HEAD_BATCH, paired.n_pairs)
     iters = -(-paired.n_pairs // b)
     for _ in range(cfg.epochs):
         for _ in range(iters):
@@ -368,5 +370,5 @@ def train_classifier(
             hc = model_mod.classify_cached(head, o_text[idx], o_image[idx], rng=drop_rng)
             _, d_logits = softmax_cross_entropy(hc.output, labels[idx])
             model_mod.classify_backward(head, hc, d_logits)
-            sgd_step(head.params(), cfg.eta)
+            sgd_step(head.params(), HEAD_ETA)
     return head

@@ -81,9 +81,9 @@ def test_criterion_2_closed_form_identities(capsys):
 
     # exact-match inputs drive every squared-error loss to exactly zero
     x = np.random.default_rng(0).normal(size=(4, 3))
-    ok &= losses.recon_loss(x, x, x, x, reduction="sum")[0] == 0.0
-    ok &= losses.cross_modal_loss(x, x.copy(), reduction="sum")[0] == 0.0
-    ok &= losses.supervised_loss(np.eye(3), [0, 1, 2], 3, reduction="sum")[0] == 0.0
+    ok &= losses.recon_loss(x, x, x, x)[0] == 0.0
+    ok &= losses.cross_modal_loss(x, x.copy())[0] == 0.0
+    ok &= losses.supervised_loss(np.eye(3), [0, 1, 2], 3)[0] == 0.0
     details.append("zero-losses")
 
     # uniform scores: setform loss is log(N+1)

@@ -239,12 +239,14 @@ DEFAULT_CONFIG_LINES = [
     "config lambda_s=1.0",
     "config nce_form=log",
     "config negatives=10",
-    "config reduction=mean",
     "config score_mode=exp",
     "config seed=0",
     "config temperature=1.0",
     "config val_fraction=0.1",
 ]
+
+# the same lines as every run.log written before `reduction` was retired
+OLD_DEFAULT_CONFIG_LINES = sorted(DEFAULT_CONFIG_LINES + ["config reduction=mean"])
 
 
 def _flags(command: str) -> dict:
@@ -287,7 +289,7 @@ def test_train_settings_have_one_source(dataset, tmp_path, capsys, monkeypatch):
     assert config_keys == set(cli.TRAIN_SETTINGS)
 
     assert set(flags) == config_keys == log_keys == fields
-    assert len(fields) == 17
+    assert len(fields) == 16
 
 
 def test_run_log_config_lines_replay_as_config_file(dataset, tmp_path, capsys, monkeypatch):
@@ -306,6 +308,48 @@ def test_run_log_config_lines_replay_as_config_file(dataset, tmp_path, capsys, m
     )
     assert code == 0, err
     assert _logged_config(second) == logged
+
+
+def test_old_run_log_config_lines_replay(dataset, tmp_path, capsys, monkeypatch):
+    """A run.log from before `reduction` was retired replays through
+    --config; its reduction=mean is dropped from the new run.log."""
+    monkeypatch.setattr(cli.training, "train", lambda *args, **kwargs: None)
+    assert len(OLD_DEFAULT_CONFIG_LINES) == 17
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("".join(l[len("config "):] + "\n" for l in OLD_DEFAULT_CONFIG_LINES))
+    out = tmp_path / "r"
+    code, _, err = run_cli(
+        capsys, "train", "--manifest", str(dataset / "train.manifest"),
+        "--out", str(out), "--config", str(cfg),
+    )
+    assert code == 0, err
+    assert _logged_config(out) == DEFAULT_CONFIG_LINES
+
+
+@pytest.mark.parametrize("value", ["sum", "bogus"])
+def test_retired_reduction_names_its_equivalent(dataset, tmp_path, capsys, value):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"eta=0.01\nreduction={value}\n")
+    code, out, err = run_cli(
+        capsys, "train", "--manifest", str(dataset / "train.manifest"),
+        "--out", str(tmp_path / "r"), "--config", str(cfg),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:2: reduction is retired" in err
+    assert "eta x batch, lambda_r x 2, lambda_c / batch" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_reduction_flag_is_gone(dataset, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(
+            ["train", "--manifest", str(dataset / "train.manifest"),
+             "--out", str(tmp_path / "r"), "--reduction", "mean"]
+        )
+    assert exit_info.value.code == 2
+    assert "--reduction" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_synth_flags_are_synthetic_spec_fields():

@@ -33,51 +33,49 @@ from contrastive_oracle import NoiseModel, nce_posterior
 def test_recon_zero_on_perfect_reconstruction():
     x_i = np.random.default_rng(0).normal(size=(3, 4))
     x_t = np.random.default_rng(1).normal(size=(3, 2))
-    value, g_i, g_t = recon_loss(x_i, x_i, x_t, x_t, reduction="sum")
+    value, g_i, g_t = recon_loss(x_i, x_i, x_t, x_t)
     assert value == 0.0
     assert not g_i.any() and not g_t.any()
 
 
 def test_recon_hand_value():
-    # single sample, one modality off by (1, -1): loss 2
+    # single pair, one modality off by (1, -1): squared error 2 over 2 rows
     x = np.array([[1.0, 2.0]])
     x_hat = np.array([[2.0, 1.0]])
     t = np.zeros((1, 1))
-    value, g_i, _ = recon_loss(x_hat, x, t, t, reduction="sum")
-    assert value == pytest.approx(2.0)
-    assert np.allclose(g_i, [[2.0, -2.0]])
+    value, g_i, _ = recon_loss(x_hat, x, t, t)
+    assert value == pytest.approx(1.0)
+    assert np.allclose(g_i, [[1.0, -1.0]])
 
 
 def test_recon_mean_scales_by_total_rows():
     rng = np.random.default_rng(2)
     x_i, xh_i = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
     x_t, xh_t = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-    v_sum, *_ = recon_loss(xh_i, x_i, xh_t, x_t, reduction="sum")
-    v_mean, *_ = recon_loss(xh_i, x_i, xh_t, x_t, reduction="mean")
+    v_sum = np.sum((xh_i - x_i) ** 2) + np.sum((xh_t - x_t) ** 2)
+    v_mean, *_ = recon_loss(xh_i, x_i, xh_t, x_t)
     assert v_mean == pytest.approx(v_sum / 8.0)
 
 
 def test_recon_shape_mismatch():
     with pytest.raises(ShapeError):
-        recon_loss(
-            np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((1, 1)), np.zeros((1, 1)), reduction="sum"
-        )
+        recon_loss(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((1, 1)), np.zeros((1, 1)))
 
 
 def test_recon_grad_matches_finite_diff():
     rng = np.random.default_rng(3)
     x_i, x_t = rng.normal(size=(3, 4)), rng.normal(size=(3, 2))
     xh_i, xh_t = rng.normal(size=(3, 4)), rng.normal(size=(3, 2))
-    _, g_i, g_t = recon_loss(xh_i, x_i, xh_t, x_t, reduction="mean")
+    _, g_i, g_t = recon_loss(xh_i, x_i, xh_t, x_t)
     eps = 1e-6
     for arr, grad in ((xh_i, g_i), (xh_t, g_t)):
         flat = arr.reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + eps
-            hi = recon_loss(xh_i, x_i, xh_t, x_t, reduction="mean")[0]
+            hi = recon_loss(xh_i, x_i, xh_t, x_t)[0]
             flat[k] = orig - eps
-            lo = recon_loss(xh_i, x_i, xh_t, x_t, reduction="mean")[0]
+            lo = recon_loss(xh_i, x_i, xh_t, x_t)[0]
             flat[k] = orig
             assert grad.reshape(-1)[k] == pytest.approx((hi - lo) / (2 * eps), abs=1e-6)
 
@@ -87,14 +85,14 @@ def test_recon_grad_matches_finite_diff():
 
 def test_cross_modal_zero_when_aligned():
     o = np.random.default_rng(4).normal(size=(3, 3))
-    value, g_t, g_i = cross_modal_loss(o, o.copy(), reduction="sum")
+    value, g_t, g_i = cross_modal_loss(o, o.copy())
     assert value == 0.0 and not g_t.any() and not g_i.any()
 
 
 def test_cross_modal_hand_value():
     o_t = np.array([[1.0, 0.0]])
     o_i = np.array([[0.0, 1.0]])
-    value, g_t, g_i = cross_modal_loss(o_t, o_i, reduction="sum")
+    value, g_t, g_i = cross_modal_loss(o_t, o_i)
     assert value == pytest.approx(2.0)
     assert np.allclose(g_t, [[2.0, -2.0]])
     assert np.allclose(g_i, [[-2.0, 2.0]])
@@ -103,21 +101,19 @@ def test_cross_modal_hand_value():
 def test_cross_modal_symmetric_in_arguments():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    assert cross_modal_loss(a, b, reduction="sum")[0] == pytest.approx(
-        cross_modal_loss(b, a, reduction="sum")[0]
-    )
+    assert cross_modal_loss(a, b)[0] == pytest.approx(cross_modal_loss(b, a)[0])
 
 
 def test_cross_modal_grads_opposite():
     rng = np.random.default_rng(6)
     a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    _, g_t, g_i = cross_modal_loss(a, b, reduction="sum")
+    _, g_t, g_i = cross_modal_loss(a, b)
     assert np.allclose(g_t, -g_i)
 
 
 def test_cross_modal_rejects_unpaired_shapes():
     with pytest.raises(PairingError):
-        cross_modal_loss(np.zeros((3, 2)), np.zeros((4, 2)), reduction="sum")
+        cross_modal_loss(np.zeros((3, 2)), np.zeros((4, 2)))
 
 
 # ---------------------------------------------------------------- supervised
@@ -125,29 +121,42 @@ def test_cross_modal_rejects_unpaired_shapes():
 
 def test_supervised_zero_on_exact_one_hot():
     o = np.eye(3)
-    value, g = supervised_loss(o, [0, 1, 2], 3, reduction="sum")
+    value, g = supervised_loss(o, [0, 1, 2], 3)
     assert value == 0.0 and not g.any()
 
 
 def test_supervised_hand_value():
     o = np.array([[0.5, 0.5]])
-    value, g = supervised_loss(o, [0], 2, reduction="sum")
+    value, g = supervised_loss(o, [0], 2)
     assert value == pytest.approx(0.5)
     assert np.allclose(g, [[-1.0, 1.0]])
+
+
+def test_cross_modal_and_supervised_divide_by_batch_rows():
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    value, g_t, _ = cross_modal_loss(a, b)
+    assert value == pytest.approx(np.sum((a - b) ** 2) / 5.0)
+    assert np.allclose(g_t, 2.0 * (a - b) / 5.0)
+    labels = [0, 2, 1, 1, 0]
+    value, g = supervised_loss(a, labels, 3)
+    r = a - np.eye(3)[labels]
+    assert value == pytest.approx(np.sum(r * r) / 5.0)
+    assert np.allclose(g, 2.0 * r / 5.0)
 
 
 def test_supervised_rejects_bad_labels():
     from cobra.errors import LabelError
 
     with pytest.raises(LabelError):
-        supervised_loss(np.zeros((2, 3)), [0, 3], 3, reduction="sum")
+        supervised_loss(np.zeros((2, 3)), [0, 3], 3)
     with pytest.raises(LabelError):
-        supervised_loss(np.zeros((1, 3)), [-1], 3, reduction="sum")
+        supervised_loss(np.zeros((1, 3)), [-1], 3)
 
 
 def test_supervised_rejects_width_mismatch():
     with pytest.raises(ConfigError):
-        supervised_loss(np.zeros((2, 4)), [0, 1], 3, reduction="sum")
+        supervised_loss(np.zeros((2, 4)), [0, 1], 3)
 
 
 # ---------------------------------------------------------------- sampling

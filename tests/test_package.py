@@ -161,3 +161,87 @@ def test_every_optional_parameter_is_set_by_production():
     monkeypatching."""
     unset = _unset_optional_parameters(PACKAGE, ROOT / "scripts")
     assert not unset, f"optional parameters only tests set: {unset}"
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _assigned_attributes(paths) -> set[str]:
+    """Names of the attributes that some statement in `paths` assigns to."""
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+
+
+def _unset_dataclass_fields(package: Path, scripts: Path) -> list[str]:
+    """'module.Class.field' for each defaulted field of a dataclass of
+    `package` that no call in `package` or `scripts` passes by keyword, by
+    position or through */** unpacking, and that no statement there assigns
+    as an attribute. Calls and attributes are matched by name."""
+    paths = sorted(package.glob("*.py")) + sorted(scripts.glob("*.py"))
+    passed = _passed_parameters(paths)
+    assigned = _assigned_attributes(paths)
+    unset = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef) and _is_dataclass(n)):
+            got = passed.get(cls.name, set())
+            fields = [
+                n for n in cls.body
+                if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+            ]
+            for position, f in enumerate(fields):
+                name = f.target.id
+                is_set = name in assigned or {"*", name, position} & got
+                if f.value is not None and not is_set:
+                    unset.append(f"{path.stem}.{cls.name}.{name}")
+    return unset
+
+
+def test_every_dataclass_default_is_set_by_production():
+    """A defaulted dataclass field that only tests set is a setting no user
+    reaches: each must be passed to its class by some call in the package
+    or the scripts, or assigned as an attribute there. A fixed value is a
+    module constant instead."""
+    unset = _unset_dataclass_fields(PACKAGE, ROOT / "scripts")
+    assert not unset, f"dataclass fields only tests set: {unset}"
+
+
+def test_unset_dataclass_field_rule_flags_only_unset_fields(tmp_path):
+    package, scripts = tmp_path / "pkg", tmp_path / "scripts"
+    package.mkdir()
+    scripts.mkdir()
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "\n"
+        "@dataclass\n"
+        "class Spec:\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    c: int = field(default=0)\n"
+        "    d: int = 2\n"
+        "    e: int = 3\n"
+        "    f: int = 4\n"
+        "\n"
+        "@dataclass(eq=False)\n"
+        "class Spread:\n"
+        "    x: float = 0.0\n"
+        "\n"
+        "def build(kw):\n"
+        "    s = Spec(0, 1, d=2)\n"
+        "    s.e, _ = 5, None\n"
+        "    return s, Spread(**kw)\n",
+        encoding="utf-8",
+    )
+    # b by position, d by keyword, e as an attribute, Spread.x through **;
+    # c and f are set nowhere
+    assert _unset_dataclass_fields(package, scripts) == ["mod.Spec.c", "mod.Spec.f"]
+    (scripts / "run.py").write_text("from pkg.mod import Spec\nSpec(0, f=1)\n", encoding="utf-8")
+    assert _unset_dataclass_fields(package, scripts) == ["mod.Spec.c"]

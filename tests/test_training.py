@@ -36,7 +36,8 @@ def test_config_defaults():
     assert cfg.batch == 128
     assert cfg.n_negatives == 10
     assert cfg.contrastive_variant == "nce"
-    assert cfg.reduction == "mean"
+    assert training.HEAD_ETA == 0.05
+    assert training.HEAD_BATCH == 128
 
 
 def test_config_validation():
@@ -54,12 +55,8 @@ def test_config_validation():
         (TrainConfig, dict(contrastive_variant="bogus"), "contrastive_variant"),
         (TrainConfig, dict(score_mode="bogus"), "score_mode"),
         (TrainConfig, dict(nce_form="bogus"), "nce_form"),
-        (TrainConfig, dict(reduction="bogus"), "reduction"),
         (LossWeights, dict(lambda_c=float("nan")), "nonnegative"),
-        (HeadConfig, dict(eta=0.0), "eta"),
-        (HeadConfig, dict(eta=-1.0), "eta"),
         (HeadConfig, dict(epochs=0), "epochs"),
-        (HeadConfig, dict(batch=0), "batch"),
         (HeadConfig, dict(seed=-1), "seed"),
     ]
     for cls, kw, name in bad:
@@ -67,7 +64,7 @@ def test_config_validation():
             cls(**kw)
     # the edges of each range are valid
     TrainConfig(iters_per_epoch=1, checkpoint_every=0, n_negatives=1)
-    HeadConfig(epochs=1, batch=1)
+    HeadConfig(epochs=1, seed=0)
 
 
 def test_minibatch_shapes_and_alignment():
@@ -359,8 +356,8 @@ def test_train_classifier_custom_task_labels():
 def test_train_classifier_clips_batch_with_one_warning(capsys):
     paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
     m = model_mod.init_model(6, 5, 3, seed=0)
-    training.train_classifier(m, paired, head_config=HeadConfig(epochs=2, batch=1000))
-    assert capsys.readouterr().err.count("warning: batch 1000 > 30 pairs, clipping") == 1
+    training.train_classifier(m, paired, head_config=HeadConfig(epochs=2))
+    assert capsys.readouterr().err.count("warning: batch 128 > 30 pairs, clipping") == 1
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -396,6 +393,7 @@ def test_train_step_and_head_steps_match_oracle(monkeypatch, lambda_c):
     byte-identical values and equal grads through the production primitives
     and through the whole-array forms in train_step_oracle."""
     paired = tiny_paired(classes=3, per_class=8, d_image=6, d_text=5)
+    monkeypatch.setattr(training, "HEAD_BATCH", 8)
 
     def run():
         cfg = small_config(weights=LossWeights(lambda_c=lambda_c))
@@ -407,7 +405,7 @@ def test_train_step_and_head_steps_match_oracle(monkeypatch, lambda_c):
             mb = training.sample_minibatch(paired, cfg.batch, streams.get("minibatch"))
             training.train_step(state, mb)
         # 24 pairs at batch 8: one epoch is three head steps
-        head = training.train_classifier(m, paired, head_config=HeadConfig(epochs=1, batch=8))
+        head = training.train_classifier(m, paired, head_config=HeadConfig(epochs=1))
         return [(p.name, p.value.copy(), p.grad.copy()) for p in m.params() + head.params()]
 
     production = run()
@@ -423,6 +421,63 @@ def test_train_step_and_head_steps_match_oracle(monkeypatch, lambda_c):
         assert np.array_equal(grad, ref_grad), name
 
 
+def _summed(loss, rows):
+    """`loss` as a sum of squared errors: its value and gradients times the
+    row count rows(*args) that the mean divides by."""
+
+    def summed(*args):
+        n = rows(*args)
+        value, *grads = loss(*args)
+        return (n * value, *(n * g for g in grads))
+
+    return summed
+
+
+@pytest.mark.parametrize("lambda_c", [0.0, 0.1])
+@pytest.mark.parametrize("batch", [8, 6])
+def test_summed_squared_errors_train_as_mean_with_scaled_settings(
+    monkeypatch, batch, lambda_c
+):
+    """What the CLI tells a config with the retired reduction=sum holds: the
+    summed squared-error losses train the same float64 parameters as the
+    means at eta x batch, lambda_r x 2 and lambda_c / batch. Bit for bit at
+    a power-of-two batch; at batch 6 the two differ by the rounding of 1/12
+    and 1/6."""
+    paired = tiny_paired(classes=3, per_class=8, d_image=6, d_text=5)
+    eta = 0.005
+
+    def run(eta, weights):
+        cfg = small_config(eta=eta, batch=batch, weights=weights)
+        streams = RngStreams(cfg.seed)
+        m = model_mod.init_model(6, 5, 3, seed=0, dtype=np.float64)
+        state = training.TrainState(model=m, config=cfg, streams=streams)
+        for _ in range(3):
+            mb = training.sample_minibatch(paired, cfg.batch, streams.get("minibatch"))
+            training.train_step(state, mb)
+        return [p.value for p in m.params()]
+
+    mean = run(eta * batch, LossWeights(lambda_r=2.0, lambda_c=lambda_c / batch))
+    losses = training.losses
+    for name, rows in (
+        ("recon_loss", lambda xh_i, x_i, xh_t, x_t: x_i.shape[0] + x_t.shape[0]),
+        ("cross_modal_loss", lambda o_t, o_i: o_t.shape[0]),
+        ("supervised_loss", lambda o, labels, c: o.shape[0]),
+    ):
+        monkeypatch.setattr(losses, name, _summed(getattr(losses, name), rows))
+    summed = run(eta, LossWeights(lambda_c=lambda_c))
+
+    init = model_mod.init_model(6, 5, 3, seed=0, dtype=np.float64).params()
+    assert len(mean) == len(summed) == len(init)
+    for got, want, start in zip(summed, mean, init):
+        assert got.dtype == np.float64 and not np.array_equal(got, start.value)
+        if batch == 8:
+            assert got.tobytes() == want.tobytes()
+        else:
+            # atol scales with the param: a bias entry near 0 is a difference
+            # of rounded terms, so its own relative error is no guide
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_head_steps_on_float64_draws_match_unfused_oracle(monkeypatch, dtype):
     """With nn.keep_mask drawing as the unfused step did, the fused ReLU and
@@ -430,9 +485,10 @@ def test_head_steps_on_float64_draws_match_unfused_oracle(monkeypatch, dtype):
     run one after another."""
     paired = tiny_paired(classes=3, per_class=8, d_image=6, d_text=5)
     m = model_mod.init_model(6, 5, 3, seed=0, dtype=dtype, hidden_dim=16, latent_dim=8)
+    monkeypatch.setattr(training, "HEAD_BATCH", 8)
 
     def run():
-        head = training.train_classifier(m, paired, head_config=HeadConfig(epochs=2, batch=8))
+        head = training.train_classifier(m, paired, head_config=HeadConfig(epochs=2))
         return [(p.name, p.value.tobytes(), p.value.dtype) for p in head.params()]
 
     monkeypatch.setattr(nn, "keep_mask", head_step_oracle.keep_mask)
@@ -460,7 +516,8 @@ def test_train_classifier_draws_the_minibatches_of_the_minibatch_stream(monkeypa
         return classify_cached(head, o_t, o_i, rng=rng)
 
     monkeypatch.setattr(model_mod, "classify_cached", recording)
-    training.train_classifier(m, paired, head_config=HeadConfig(epochs=1, batch=8, seed=3))
+    monkeypatch.setattr(training, "HEAD_BATCH", 8)
+    training.train_classifier(m, paired, head_config=HeadConfig(epochs=1, seed=3))
     drawn = [
         [14, 15, 25, 16, 3, 29, 27, 2],
         [5, 27, 6, 12, 0, 11, 28, 14],
