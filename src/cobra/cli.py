@@ -46,6 +46,11 @@ def _setting(f) -> tuple:
 TRAIN_SETTINGS = {_RENAMED.get(f.name, f.name): _setting(f) for f in _train_fields()}
 TRAIN_SETTINGS["val_fraction"] = (0.1, float, None)
 SYNTH_SETTINGS = {f.name: _setting(f) for f in dc_fields(data.SyntheticSpec)}
+# keys of older run.logs -> (the contrastive family they applied to, their values)
+_RETIRED_FORMS = {
+    "nce_form": ("nce", ("log", "literal")),
+    "score_mode": ("setform", ("exp", "literal")),
+}
 
 
 def _progress(msg: str):
@@ -54,8 +59,10 @@ def _progress(msg: str):
 
 def read_config_file(path) -> dict:
     """key=value settings; the `config` lines of a run.log, without the
-    prefix, read back as the same settings."""
-    out = {}
+    prefix, read back as the same settings. An older run.log's nce_form or
+    score_mode of `literal` selects the literal form of its contrastive
+    family; for the other family it is ignored, as training ignored it."""
+    out, literal = {}, set()
     for lineno, line in enumerate(data.read_text(path).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -69,6 +76,16 @@ def read_config_file(path) -> dict:
                     "means; reduction=sum trains as eta x batch, lambda_r x 2, lambda_c / batch"
                 )
             continue
+        if key in _RETIRED_FORMS:
+            family, forms = _RETIRED_FORMS[key]
+            if value not in forms:
+                raise CobraError(
+                    f"{path}:{lineno}: {key} is retired and was one of {forms}, got "
+                    f"{value!r}; {key}=literal is contrastive={family}_literal"
+                )
+            if value == "literal":
+                literal.add(family)
+            continue
         if key not in TRAIN_SETTINGS:
             raise CobraError(f"{path}:{lineno}: unknown config key {key!r}")
         default, kind, _ = TRAIN_SETTINGS[key]
@@ -81,6 +98,9 @@ def read_config_file(path) -> dict:
             raise CobraError(
                 f"{path}:{lineno}: {key} expects {kind.__name__}, got {value!r}"
             ) from None
+    family = out.get("contrastive", TRAIN_SETTINGS["contrastive"][0])
+    if family in literal:
+        out["contrastive"] = f"{family}_literal"
     return out
 
 

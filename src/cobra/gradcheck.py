@@ -17,6 +17,14 @@ from .training import TrainConfig, softmax_cross_entropy
 
 THRESHOLD = 1e-4
 EPSILON = 1e-5
+# The check of each contrastive variant, in run order. The default forms keep
+# their log/exp names; the literal ones are checked on the joint embeddings.
+CONTRASTIVE_CHECKS = {
+    "setform": "loss_c_setform_exp",
+    "nce": "loss_c_nce_log",
+    "setform_literal": "loss_c_setform_literal",
+    "nce_literal": "loss_c_nce_literal",
+}
 
 
 @dataclass
@@ -76,8 +84,8 @@ def _check_model_loss(name: str, cfg: TrainConfig, seed: int) -> CheckResult:
     return _compare(name, analytic, lambda: breakdown()[1].total, model.params())
 
 
-def _check_literal_contrastive(name: str, seed: int, contrastive_variant: str) -> CheckResult:
-    """The literal setform/NCE forms on joint embeddings drawn from the
+def _check_literal_contrastive(name: str, seed: int, variant: str) -> CheckResult:
+    """A literal contrastive variant on joint embeddings drawn from the
     positive orthant, so every dot product stays far above CLAMP_FLOOR."""
     rng = np.random.default_rng(seed)
     o_i = Param("o_image", rng.uniform(0.5, 1.5, size=(4, 3)))
@@ -86,13 +94,11 @@ def _check_literal_contrastive(name: str, seed: int, contrastive_variant: str) -
     sets, _ = losses.sample_contrastive_sets(y, y, 3, np.random.default_rng(12345))
 
     def loss():
-        if contrastive_variant == "setform":
-            return losses.contrastive_loss_setform(
-                sets, o_i.value, o_t.value, score_mode="literal", temperature=1.0
-            )[:3]
-        return losses.nce_loss(sets, o_i.value, o_t.value, form="literal", temperature=1.0)
+        return losses.contrastive_loss(
+            sets, o_i.value, o_t.value, variant=variant, temperature=1.0
+        )
 
-    _, g_i, g_t = loss()
+    _, g_i, g_t, _ = loss()
     analytic = {"o_image": g_i, "o_text": g_t}
     return _compare(name, analytic, lambda: loss()[0], [o_i, o_t])
 
@@ -141,22 +147,12 @@ def run_gradcheck(seed: int = 0) -> list[CheckResult]:
     results = [_check_affine(seed)]
     for comp in ("r", "m", "s"):
         results.append(_check_model_loss(f"loss_{comp}", _component_config(comp), seed))
-    results.append(
-        _check_model_loss(
-            "loss_c_setform_exp",
-            _component_config("c", contrastive_variant="setform", score_mode="exp"),
-            seed,
-        )
-    )
-    results.append(
-        _check_model_loss(
-            "loss_c_nce_log",
-            _component_config("c", contrastive_variant="nce", nce_form="log"),
-            seed,
-        )
-    )
-    results.append(_check_literal_contrastive("loss_c_setform_literal", seed, "setform"))
-    results.append(_check_literal_contrastive("loss_c_nce_literal", seed, "nce"))
+    for variant, name in CONTRASTIVE_CHECKS.items():
+        if variant.endswith("_literal"):
+            results.append(_check_literal_contrastive(name, seed, variant))
+        else:
+            cfg = _component_config("c", contrastive_variant=variant)
+            results.append(_check_model_loss(name, cfg, seed))
     results.append(
         _check_model_loss(
             "loss_total",

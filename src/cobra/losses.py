@@ -4,22 +4,24 @@ Reconstruction, cross-modal alignment and supervised (one-hot regression)
 losses are squared errors, each divided by its row count: 2B for the
 reconstruction term (both modalities' rows), B for the other two, so the
 loss weights do not depend on the batch size B. The contrastive term, a
-mean over drawn sets, comes in two variants:
+mean over drawn sets, is ``contrastive_loss`` with one of four variants
+(CONTRASTIVE_VARIANTS):
 
-* ``setform`` -- softmax contrast of an anchor against one positive and N
-  negatives. The printed score is a raw dot product, which is ill-defined
-  inside a log ratio for nonpositive scores, so the default ``exp`` score
-  mode exponentiates with a temperature (the standard InfoNCE form); the
-  ``literal`` mode keeps raw dot products and clamps them below at 1e-12.
 * ``nce`` -- noise contrastive estimation with a uniform noise distribution
   over the minibatch pool. The joint density of a candidate given the anchor
   is softmax(anchor . candidate / temperature) over all other rows of the
-  minibatch. Default is the log-likelihood form; ``literal`` drops the logs.
+  minibatch; the loss is the NCE log-likelihood.
+* ``nce_literal`` -- the same posteriors summed without the logs.
+* ``setform`` -- softmax contrast of an anchor against one positive and N
+  negatives. The printed score is a raw dot product, which is ill-defined
+  inside a log ratio for nonpositive scores, so this form exponentiates it
+  with a temperature (the standard InfoNCE form).
+* ``setform_literal`` -- raw dot products, clamped below at 1e-12.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,9 +32,7 @@ if TYPE_CHECKING:
     from .training import TrainConfig
 
 CLAMP_FLOOR = 1e-12
-CONTRASTIVE_VARIANTS = ("setform", "nce")
-SCORE_MODES = ("exp", "literal")  # setform
-NCE_FORMS = ("log", "literal")
+CONTRASTIVE_VARIANTS = ("nce", "nce_literal", "setform", "setform_literal")
 
 
 def check_choice(name: str, value, choices: tuple):
@@ -49,8 +49,9 @@ class LossWeights:
 
     def __post_init__(self):
         vals = (self.lambda_r, self.lambda_s, self.lambda_m, self.lambda_c)
-        if not all(v >= 0 for v in vals):  # NaN fails too
-            raise ConfigError(f"loss weights must be nonnegative, got {vals}")
+        for f, v in zip(fields(self), vals):
+            if not 0 <= v < np.inf:  # NaN fails too
+                raise ConfigError(f"{f.name} must be nonnegative and finite, got {v}")
         if all(v == 0 for v in vals):
             raise ConfigError("at least one loss weight must be positive")
 
@@ -200,17 +201,82 @@ def _scatter(values, cols, n_cols: int) -> np.ndarray:
     return dense.astype(values.dtype, copy=False)
 
 
-def _in_batch(sets: ContrastiveSets, o_image, o_text, block_loss):
-    """Scores anchors against every stacked [image; text] row, a block of
-    anchors at a time, and backpropagates through the dot products.
+def _setform_block(dots, anchor, cand, literal: bool, temperature: float):
+    """Set-form loss of one block: the positive's share among the scores of
+    {p, n_1..n_N}, exponentiated with a temperature or, literal, the raw dot
+    products clamped below at CLAMP_FLOOR."""
+    raw = dots[np.arange(anchor.size)[:, None], cand]
+    if not literal:
+        # -log softmax weight of the positive among {p, n_1..n_N}
+        z = raw / temperature
+        m = z.max(axis=1, keepdims=True)
+        e = np.exp(z - m)
+        e_sum = e.sum(axis=1, keepdims=True)
+        value = float(np.sum(np.log(e_sum) + m - z[:, :1]))
+        d_raw = e / e_sum
+        d_raw[:, 0] -= 1.0
+        d_raw /= temperature
+        return value, _scatter(d_raw, cand, dots.shape[1]), 0
+    low = raw < CLAMP_FLOOR
+    u = np.maximum(raw, CLAMP_FLOOR)
+    denom = u.sum(axis=1, keepdims=True)
+    value = float(np.sum(np.log(denom) - np.log(u[:, :1])))
+    d_raw = np.repeat(1.0 / denom, u.shape[1], axis=1)
+    d_raw[:, 0] -= 1.0 / u[:, 0]
+    d_raw[low] = 0.0
+    return value, _scatter(d_raw, cand, dots.shape[1]), int(low.sum())
 
-    block_loss(dots, anchor, cand) gets a block's dot products with every
-    row (B, rows), its anchor rows (B,) and candidate rows (B, N+1; the
-    positive first). It returns (summed set loss, gradient w.r.t. dots,
-    clamp count). Returns (mean loss, grad_o_image, grad_o_text, clamp count).
+
+def _nce_block(dots, anchor, cand, literal: bool, temperature: float):
+    """NCE loss of one block. p_J(s|a) is softmax(a.s / temperature) over
+    every minibatch row except the anchor; p_N is uniform over that same
+    pool, with N = n_negatives noise samples. The log-likelihood form, or,
+    literal, the posteriors summed directly."""
+    n_rows = dots.shape[1]
+    base = (cand.shape[1] - 1) / (n_rows - 1)  # N * p_N
+    s = dots / temperature
+    s[np.arange(anchor.size), anchor] = -np.inf  # the anchor is not in its pool
+    s -= s.max(axis=1, keepdims=True)
+    pi = np.exp(s)
+    pi /= pi.sum(axis=1, keepdims=True)
+    p = pi[np.arange(anchor.size)[:, None], cand]
+    h = p / (p + base)  # posterior of the positive and each negative
+    # d h / d pi = h (1 - h) / pi = base / (pi + base)^2; the latter form
+    # stays finite when pi underflows to 0
+    if not literal:
+        value = -np.sum(np.log(h[:, 0])) - np.sum(np.log1p(-h[:, 1:]))
+        d_p = 1.0 / (p + base)
+        d_p[:, 0] = -base / (p[:, 0] * (p[:, 0] + base))
+    else:
+        value = -np.sum(h[:, 0]) - np.sum(1.0 - h[:, 1:])
+        d_p = base / (p + base) ** 2
+        d_p[:, 0] *= -1.0
+    # softmax backward: d/ds_t = pi_t * (d_pi_t - sum_s d_pi_s pi_s)
+    d_pi = _scatter(d_p, cand, n_rows)
+    d_s = pi * (d_pi - np.sum(d_p * p, axis=1, keepdims=True))
+    return float(value), d_s / temperature, 0
+
+
+def contrastive_loss(
+    sets: ContrastiveSets, o_image, o_text, *, variant: str, temperature: float
+):
+    """The contrastive loss `variant` (one of CONTRASTIVE_VARIANTS), mean
+    over sets.
+
+    Anchors are scored against every stacked [image; text] row, a block of
+    anchors at a time, and the gradient flows back through the dot products.
+    A block function gets a block's dot products with every row (B, rows),
+    its anchor rows (B,) and candidate rows (B, N+1; the positive first), and
+    returns (summed set loss, gradient w.r.t. the dots, clamp count).
+    Returns (value, grad_o_image, grad_o_text, clamp_count).
     """
+    if not 0 < temperature < np.inf:
+        raise ConfigError(f"temperature must be positive and finite, got {temperature}")
+    check_choice("contrastive_variant", variant, CONTRASTIVE_VARIANTS)
     if len(sets) == 0:
         return 0.0, np.zeros_like(o_image), np.zeros_like(o_text), 0
+    family, _, form = variant.partition("_")
+    block_loss = _nce_block if family == "nce" else _setform_block
     x = np.concatenate([o_image, o_text], axis=0)
     d_x = np.zeros_like(x)
     cand = np.column_stack([sets.positive, sets.negatives])
@@ -218,7 +284,9 @@ def _in_batch(sets: ContrastiveSets, o_image, o_text, block_loss):
     for lo in range(0, len(sets), _ANCHOR_BLOCK):
         a = sets.anchor[lo : lo + _ANCHOR_BLOCK]
         x_a = x[a]
-        value, d_dots, n_clamped = block_loss(x_a @ x.T, a, cand[lo : lo + _ANCHOR_BLOCK])
+        value, d_dots, n_clamped = block_loss(
+            x_a @ x.T, a, cand[lo : lo + _ANCHOR_BLOCK], form == "literal", temperature
+        )
         total += value
         clamped += n_clamped
         d_x += d_dots.T @ x_a
@@ -227,96 +295,6 @@ def _in_batch(sets: ContrastiveSets, o_image, o_text, block_loss):
     d_x *= inv_n
     n_image = o_image.shape[0]
     return inv_n * total, d_x[:n_image], d_x[n_image:], clamped
-
-
-def contrastive_loss_setform(
-    sets: ContrastiveSets,
-    o_image,
-    o_text,
-    *,
-    score_mode: str,
-    temperature: float,
-):
-    """Set-based contrastive loss, mean over sets.
-
-    Returns (value, grad_o_image, grad_o_text, clamp_count).
-    """
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    check_choice("score_mode", score_mode, SCORE_MODES)
-
-    def block_loss(dots, anchor, cand):
-        raw = dots[np.arange(cand.shape[0])[:, None], cand]
-        if score_mode == "exp":
-            # -log softmax weight of the positive among {p, n_1..n_N}
-            z = raw / temperature
-            m = z.max(axis=1, keepdims=True)
-            e = np.exp(z - m)
-            e_sum = e.sum(axis=1, keepdims=True)
-            value = float(np.sum(np.log(e_sum) + m - z[:, :1]))
-            d_raw = e / e_sum
-            d_raw[:, 0] -= 1.0
-            d_raw /= temperature
-            return value, _scatter(d_raw, cand, dots.shape[1]), 0
-        low = raw < CLAMP_FLOOR
-        u = np.maximum(raw, CLAMP_FLOOR)
-        denom = u.sum(axis=1, keepdims=True)
-        value = float(np.sum(np.log(denom) - np.log(u[:, :1])))
-        d_raw = np.repeat(1.0 / denom, u.shape[1], axis=1)
-        d_raw[:, 0] -= 1.0 / u[:, 0]
-        d_raw[low] = 0.0
-        return value, _scatter(d_raw, cand, dots.shape[1]), int(low.sum())
-
-    return _in_batch(sets, o_image, o_text, block_loss)
-
-
-def nce_loss(
-    sets: ContrastiveSets,
-    o_image,
-    o_text,
-    *,
-    form: str,
-    temperature: float,
-):
-    """NCE objective over the drawn sets, mean over anchors.
-
-    p_J(s|a) is softmax(a.s / temperature) over every minibatch row except
-    the anchor; p_N is uniform over that same pool, with N = n_negatives
-    noise samples. The ``log`` form is the standard NCE log-likelihood;
-    ``literal`` sums the posteriors directly.
-    Returns (value, grad_o_image, grad_o_text).
-    """
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    check_choice("nce_form", form, NCE_FORMS)
-
-    def block_loss(dots, anchor, cand):
-        n_rows = dots.shape[1]
-        base = (cand.shape[1] - 1) / (n_rows - 1)  # N * p_N
-        s = dots / temperature
-        s[np.arange(anchor.size), anchor] = -np.inf  # the anchor is not in its pool
-        s -= s.max(axis=1, keepdims=True)
-        pi = np.exp(s)
-        pi /= pi.sum(axis=1, keepdims=True)
-        p = pi[np.arange(anchor.size)[:, None], cand]
-        h = p / (p + base)  # posterior of the positive and each negative
-        # d h / d pi = h (1 - h) / pi = base / (pi + base)^2; the latter form
-        # stays finite when pi underflows to 0
-        if form == "log":
-            value = -np.sum(np.log(h[:, 0])) - np.sum(np.log1p(-h[:, 1:]))
-            d_p = 1.0 / (p + base)
-            d_p[:, 0] = -base / (p[:, 0] * (p[:, 0] + base))
-        else:
-            value = -np.sum(h[:, 0]) - np.sum(1.0 - h[:, 1:])
-            d_p = base / (p + base) ** 2
-            d_p[:, 0] *= -1.0
-        # softmax backward: d/ds_t = pi_t * (d_pi_t - sum_s d_pi_s pi_s)
-        d_pi = _scatter(d_p, cand, n_rows)
-        d_s = pi * (d_pi - np.sum(d_p * p, axis=1, keepdims=True))
-        return float(value), d_s / temperature, 0
-
-    value, d_image, d_text, _ = _in_batch(sets, o_image, o_text, block_loss)
-    return value, d_image, d_text
 
 
 def total_loss(
@@ -351,18 +329,12 @@ def total_loss(
     bd.d_o_text += weights.lambda_s * g_st
 
     if weights.lambda_c > 0:
-        check_choice("contrastive_variant", cfg.contrastive_variant, CONTRASTIVE_VARIANTS)
         sets, bd.skipped_anchors = sample_contrastive_sets(
             labels_image, labels_text, cfg.n_negatives, rng
         )
-        if cfg.contrastive_variant == "setform":
-            bd.l_c, g_ci, g_ct, bd.clamped_scores = contrastive_loss_setform(
-                sets, img.o, txt.o, score_mode=cfg.score_mode, temperature=cfg.temperature
-            )
-        else:
-            bd.l_c, g_ci, g_ct = nce_loss(
-                sets, img.o, txt.o, form=cfg.nce_form, temperature=cfg.temperature
-            )
+        bd.l_c, g_ci, g_ct, bd.clamped_scores = contrastive_loss(
+            sets, img.o, txt.o, variant=cfg.contrastive_variant, temperature=cfg.temperature
+        )
         bd.d_o_image += weights.lambda_c * g_ci
         bd.d_o_text += weights.lambda_c * g_ct
 

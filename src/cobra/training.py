@@ -29,11 +29,11 @@ def _choice(default: str, choices: tuple):
 
 
 def _check_ranges(cfg, positive=(), minimum=None):
-    """Each field named in `positive` must be > 0 (NaN is not); each key of
-    `minimum` must be at least its value."""
+    """Each field named in `positive` must be > 0 and finite (NaN is not);
+    each key of `minimum` must be at least its value."""
     for name in positive:
-        if not getattr(cfg, name) > 0:
-            raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
+        if not 0 < getattr(cfg, name) < np.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {getattr(cfg, name)}")
     for name, low in (minimum or {}).items():
         if getattr(cfg, name) < low:
             raise ConfigError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
@@ -51,8 +51,6 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     n_negatives: int = 10
     contrastive_variant: str = _choice("nce", losses.CONTRASTIVE_VARIANTS)
-    score_mode: str = _choice("exp", losses.SCORE_MODES)  # setform only
-    nce_form: str = _choice("log", losses.NCE_FORMS)
     temperature: float = 1.0
     seed: int = 0
     checkpoint_every: int = 0  # epochs; 0 disables periodic checkpoints

@@ -1,11 +1,11 @@
-"""Per-anchor loop implementation of contrastive sampling and the setform/NCE
-losses: the reference the vectorised code in ``cobra.losses`` is tested
-against. Sets here are lists of ``ContrastiveSet`` whose rows are
-``(modality, index)`` references; ``as_refs`` converts the vectorised
-sampler's stacked-row index arrays to that form.
+"""Per-anchor loop implementation of contrastive sampling and of the four
+contrastive loss variants: the reference the vectorised code in
+``cobra.losses`` is tested against. Sets here are lists of ``ContrastiveSet``
+whose rows are ``(modality, index)`` references; ``as_refs`` converts the
+vectorised sampler's stacked-row index arrays to that form.
 
 ``NoiseModel`` and ``nce_posterior`` state the NCE posterior
-p_J / (p_J + N * p_N) of one sample; the loop ``nce_loss`` takes its noise
+p_J / (p_J + N * p_N) of one sample; the loop NCE loss takes its noise
 model from them, and the acceptance tests check their closed forms.
 """
 
@@ -101,135 +101,119 @@ def _gather(o_image, o_text, ref: Ref) -> np.ndarray:
 
 
 class _GradSink:
-    """Accumulates per-row joint-space gradients for both modalities."""
+    """Accumulates per-row joint-space gradients for both modalities, and
+    per entry the sum of the absolute values of the terms added to it. That
+    sum bounds how far another order of adding the same terms can round."""
 
     def __init__(self, o_image, o_text):
-        self.d_image = np.zeros_like(o_image)
-        self.d_text = np.zeros_like(o_text)
+        self.d = {"image": np.zeros_like(o_image), "text": np.zeros_like(o_text)}
+        self.size = {"image": np.zeros_like(o_image), "text": np.zeros_like(o_text)}
 
-    def add(self, ref: Ref, g: np.ndarray):
-        (self.d_image if ref[0] == "image" else self.d_text)[ref[1]] += g
+    def add(self, ref: Ref, g: np.ndarray, size: np.ndarray):
+        self.d[ref[0]][ref[1]] += g
+        self.size[ref[0]][ref[1]] += size
+
+    def result(self, value: float, clamped: int):
+        """(value, grad_o_image, grad_o_text, clamp_count), (bounds)."""
+        return (value, self.d["image"], self.d["text"], clamped), (
+            self.size["image"],
+            self.size["text"],
+        )
 
 
-def contrastive_loss_setform(
-    sets: list[ContrastiveSet],
-    o_image,
-    o_text,
-    score_mode: str = "exp",
-    temperature: float = 1.0,
+def contrastive_loss(
+    sets: list[ContrastiveSet], o_image, o_text, variant: str, temperature: float
 ):
-    """Set-based contrastive loss, mean over sets.
+    """The contrastive loss `variant`, mean over sets, one set at a time.
 
-    Returns (value, grad_o_image, grad_o_text, clamp_count).
+    Returns ((value, grad_o_image, grad_o_text, clamp_count), (bound_image,
+    bound_text)): the bounds hold, per gradient entry, the summed absolute
+    values of the terms that make it up.
     """
+    family, _, form = variant.partition("_")
+    loss = _nce if family == "nce" else _setform
     sink = _GradSink(o_image, o_text)
-    if not sets:
-        return 0.0, sink.d_image, sink.d_text, 0
+    total, clamped = 0.0, 0
+    for cs in sets:
+        value, n_clamped = loss(cs, o_image, o_text, sink, form == "literal", temperature)
+        total += value / len(sets)
+        clamped += n_clamped
+    if sets:
+        for d in (*sink.d.values(), *sink.size.values()):
+            d /= len(sets)
+    return sink.result(total, clamped)
 
-    total = 0.0
+
+def _setform(cs, o_image, o_text, sink, literal: bool, temperature: float):
+    """One set's setform loss; its gradient goes to `sink`."""
+    a = _gather(o_image, o_text, cs.anchor)
+    others = [cs.positive] + cs.negatives
+    vecs = np.stack([_gather(o_image, o_text, r) for r in others])
+    first = np.zeros(len(others))
+    first[0] = 1.0
     clamped = 0
-    inv_n = 1.0 / len(sets)
-    for cs in sets:
-        a = _gather(o_image, o_text, cs.anchor)
-        others = [cs.positive] + cs.negatives
-        vecs = np.stack([_gather(o_image, o_text, r) for r in others])
+    if not literal:
+        # -log softmax weight of the positive among {p, n_1..n_N}
         dots = vecs @ a / temperature
+        m = dots.max()
+        e = np.exp(dots - m)
+        q = e / e.sum()
+        value = float(np.log(e.sum()) + m - dots[0])
+        d_dots = (q - first) / temperature
+        d_size = (q + first) / temperature
+    else:
+        raw = vecs @ a
+        clamped = int(np.sum(raw < CLAMP_FLOOR))
+        u = np.maximum(raw, CLAMP_FLOOR)
+        denom = u.sum()
+        value = float(np.log(denom) - np.log(u[0]))
+        d_dots = 1.0 / denom - first / u[0]
+        d_size = 1.0 / denom + first / u[0]
+        d_dots[raw < CLAMP_FLOOR] = 0.0
+        d_size[raw < CLAMP_FLOOR] = 0.0
+    sink.add(cs.anchor, d_dots @ vecs, d_size @ np.abs(vecs))
+    for d, size, r in zip(d_dots, d_size, others):
+        sink.add(r, d * a, size * np.abs(a))
+    return value, clamped
 
-        if score_mode == "exp":
-            # -log softmax weight of the positive among {p, n_1..n_N}
-            m = dots.max()
-            e = np.exp(dots - m)
-            q = e / e.sum()
-            total += inv_n * float(np.log(e.sum()) + m - dots[0])
-            d_dots = q.copy()
-            d_dots[0] -= 1.0
-            d_dots *= inv_n
+
+def _nce(cs, o_image, o_text, sink, literal: bool, temperature: float):
+    """One set's NCE loss against the whole minibatch pool but the anchor;
+    its gradient goes to `sink`."""
+    rows = [("image", i) for i in range(o_image.shape[0])]
+    rows += [("text", i) for i in range(o_text.shape[0])]
+    pool = [r for r in rows if r != cs.anchor]
+    a = _gather(o_image, o_text, cs.anchor)
+    vecs = np.stack([_gather(o_image, o_text, r) for r in pool])
+    nm = NoiseModel(n_noise=len(cs.negatives), noise_density=1.0 / len(pool))
+
+    scores = vecs @ a / temperature
+    e = np.exp(scores - scores.max())
+    pi = e / e.sum()  # p_J(s|a) over the pool
+    base = nm.n_noise * nm.noise_density
+    h = pi / (pi + base)  # posterior per pool row
+
+    d_pi = np.zeros_like(pi)
+    k = pool.index(cs.positive)
+    if not literal:
+        value = -np.log(h[k])
+        d_pi[k] += -base / (pi[k] * (pi[k] + base))
+    else:
+        value = -h[k]
+        d_pi[k] += -base / (pi[k] + base) ** 2
+    for neg in cs.negatives:
+        k = pool.index(neg)
+        if not literal:
+            value += -np.log1p(-h[k])
+            d_pi[k] += 1.0 / (pi[k] + base)
         else:
-            raw = vecs @ a
-            clamped += int(np.sum(raw < CLAMP_FLOOR))
-            u = np.maximum(raw, CLAMP_FLOOR)
-            denom = u.sum()
-            total += inv_n * float(np.log(denom) - np.log(u[0]))
-            d_u = np.full_like(u, 1.0 / denom)
-            d_u[0] -= 1.0 / u[0]
-            d_u[raw < CLAMP_FLOOR] = 0.0
-            d_dots = d_u * inv_n * temperature  # undo the 1/tau below
+            value += -(1.0 - h[k])
+            d_pi[k] += base / (pi[k] + base) ** 2
 
-        scale = 1.0 / temperature
-        sink.add(cs.anchor, scale * (d_dots @ vecs))
-        for d, r in zip(d_dots, others):
-            sink.add(r, scale * d * a)
-    return total, sink.d_image, sink.d_text, clamped
-
-
-def nce_loss(
-    sets: list[ContrastiveSet],
-    o_image,
-    o_text,
-    noise: NoiseModel | None = None,
-    form: str = "log",
-    temperature: float = 1.0,
-):
-    """NCE objective over the drawn sets, mean over anchors.
-
-    Returns (value, grad_o_image, grad_o_text).
-    """
-    sink = _GradSink(o_image, o_text)
-    if not sets:
-        return 0.0, sink.d_image, sink.d_text
-
-    combined = np.concatenate([o_image, o_text], axis=0)
-    n_image = o_image.shape[0]
-
-    def gidx(ref: Ref) -> int:
-        return ref[1] if ref[0] == "image" else n_image + ref[1]
-
-    pool_size = combined.shape[0] - 1  # every row but the anchor
-    total = 0.0
-    inv_n = 1.0 / len(sets)
-    for cs in sets:
-        a_i = gidx(cs.anchor)
-        a = combined[a_i]
-        pool = np.delete(np.arange(combined.shape[0]), a_i)
-        n_noise = len(cs.negatives)
-        nm = noise or NoiseModel(n_noise=n_noise, noise_density=1.0 / pool_size)
-
-        scores = combined[pool] @ a / temperature
-        m = scores.max()
-        e = np.exp(scores - m)
-        pi = e / e.sum()  # p_J(s|a) over the pool
-
-        pos_in_pool = {g: k for k, g in enumerate(pool)}
-        base = nm.n_noise * nm.noise_density
-        h = pi / (pi + base)  # posterior per pool row
-
-        d_pi = np.zeros_like(pi)
-        k_pos = pos_in_pool[gidx(cs.positive)]
-        if form == "log":
-            loss = -np.log(h[k_pos])
-            d_pi[k_pos] += -base / (pi[k_pos] * (pi[k_pos] + base))
-            for neg in cs.negatives:
-                k = pos_in_pool[gidx(neg)]
-                loss += -np.log1p(-h[k])
-                d_pi[k] += 1.0 / (pi[k] + base)
-        else:
-            loss = -h[k_pos]
-            d_pi[k_pos] += -base / (pi[k_pos] + base) ** 2
-            for neg in cs.negatives:
-                k = pos_in_pool[gidx(neg)]
-                loss += -(1.0 - h[k])
-                d_pi[k] += base / (pi[k] + base) ** 2
-        total += inv_n * float(loss)
-
-        # softmax backward: d/ds_t = pi_t * (d_pi_t - sum_s d_pi_s pi_s)
-        d_scores = pi * (d_pi - float(d_pi @ pi))
-        d_scores *= inv_n / temperature
-        d_a = d_scores @ combined[pool]
-        d_pool = np.outer(d_scores, a)
-
-        d_combined = np.zeros_like(combined)
-        d_combined[pool] += d_pool
-        d_combined[a_i] += d_a
-        sink.d_image += d_combined[:n_image]
-        sink.d_text += d_combined[n_image:]
-    return total, sink.d_image, sink.d_text
+    # softmax backward: d/ds_t = pi_t * (d_pi_t - sum_s d_pi_s pi_s)
+    d_scores = pi * (d_pi - float(d_pi @ pi)) / temperature
+    d_size = pi * (np.abs(d_pi) + float(np.abs(d_pi) @ pi)) / temperature
+    sink.add(cs.anchor, d_scores @ vecs, d_size @ np.abs(vecs))
+    for d, size, r in zip(d_scores, d_size, pool):
+        sink.add(r, d * a, size * np.abs(a))
+    return float(value), 0

@@ -171,6 +171,9 @@ def test_train_rejects_bad_config_value(dataset, tmp_path, capsys):
         ),
         pytest.param(["--val-fraction", "1.5"], None, "val_fraction", id="val_fraction"),
         pytest.param(["--seed", "-1"], None, "seed", id="seed-1"),
+        pytest.param(["--eta", "inf"], None, "eta", id="eta_inf"),
+        pytest.param(["--temperature", "inf"], None, "temperature", id="temp_inf"),
+        pytest.param(["--lambda-c", "inf"], None, "lambda_c", id="lambda_c_inf"),
     ],
 )
 def test_train_rejects_invalid_setting_before_reading_data(
@@ -237,16 +240,18 @@ DEFAULT_CONFIG_LINES = [
     "config lambda_m=1.0",
     "config lambda_r=1.0",
     "config lambda_s=1.0",
-    "config nce_form=log",
     "config negatives=10",
-    "config score_mode=exp",
     "config seed=0",
     "config temperature=1.0",
     "config val_fraction=0.1",
 ]
 
-# the same lines as every run.log written before `reduction` was retired
-OLD_DEFAULT_CONFIG_LINES = sorted(DEFAULT_CONFIG_LINES + ["config reduction=mean"])
+# the same lines as every run.log written before `reduction`, `nce_form` and
+# `score_mode` were retired
+OLD_DEFAULT_CONFIG_LINES = sorted(
+    DEFAULT_CONFIG_LINES
+    + ["config reduction=mean", "config nce_form=log", "config score_mode=exp"]
+)
 
 
 def _flags(command: str) -> dict:
@@ -289,7 +294,7 @@ def test_train_settings_have_one_source(dataset, tmp_path, capsys, monkeypatch):
     assert config_keys == set(cli.TRAIN_SETTINGS)
 
     assert set(flags) == config_keys == log_keys == fields
-    assert len(fields) == 16
+    assert len(fields) == 14
 
 
 def test_run_log_config_lines_replay_as_config_file(dataset, tmp_path, capsys, monkeypatch):
@@ -311,8 +316,9 @@ def test_run_log_config_lines_replay_as_config_file(dataset, tmp_path, capsys, m
 
 
 def test_old_run_log_config_lines_replay(dataset, tmp_path, capsys, monkeypatch):
-    """A run.log from before `reduction` was retired replays through
-    --config; its reduction=mean is dropped from the new run.log."""
+    """A run.log from before `reduction`, `nce_form` and `score_mode` were
+    retired replays through --config; those three lines are dropped from the
+    new run.log."""
     monkeypatch.setattr(cli.training, "train", lambda *args, **kwargs: None)
     assert len(OLD_DEFAULT_CONFIG_LINES) == 17
     cfg = tmp_path / "old.cfg"
@@ -349,6 +355,67 @@ def test_reduction_flag_is_gone(dataset, tmp_path, capsys):
         )
     assert exit_info.value.code == 2
     assert "--reduction" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "lines, contrastive",
+    [
+        (["nce_form=literal"], "nce_literal"),
+        (["contrastive=nce", "nce_form=literal", "score_mode=exp"], "nce_literal"),
+        (["score_mode=literal", "contrastive=setform", "nce_form=log"], "setform_literal"),
+        (["contrastive=setform", "nce_form=literal"], "setform"),
+        (["contrastive=nce", "score_mode=literal"], "nce"),
+        (["contrastive=setform", "score_mode=exp"], "setform"),
+        (["contrastive=nce_literal", "nce_form=log"], "nce_literal"),
+    ],
+)
+def test_retired_contrastive_forms_replay(
+    dataset, tmp_path, capsys, monkeypatch, lines, contrastive
+):
+    """nce_form/score_mode=literal turns the file's contrastive family (nce by
+    default) into its literal variant; for the other family it is ignored,
+    as training ignored it. Neither key is logged again."""
+    monkeypatch.setattr(cli.training, "train", lambda *args, **kwargs: None)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "r"
+    code, _, err = run_cli(
+        capsys, "train", "--manifest", str(dataset / "train.manifest"),
+        "--out", str(out), "--config", str(cfg),
+    )
+    assert code == 0, err
+    logged = _logged_config(out)
+    assert f"config contrastive={contrastive}" in logged
+    assert len(logged) == 14
+
+
+@pytest.mark.parametrize("key, value", [("score_mode", "bogus"), ("nce_form", "exp")])
+def test_retired_contrastive_form_bad_value_names_its_line(
+    dataset, tmp_path, capsys, key, value
+):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"eta=0.01\n{key}={value}\n")
+    code, out, err = run_cli(
+        capsys, "train", "--manifest", str(dataset / "train.manifest"),
+        "--out", str(tmp_path / "r"), "--config", str(cfg),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:2: {key} is retired" in err
+    assert f"{key}=literal is contrastive=" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--score-mode", "literal"), ("--nce-form", "literal")])
+def test_contrastive_form_flags_are_gone(dataset, tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(
+            ["train", "--manifest", str(dataset / "train.manifest"),
+             "--out", str(tmp_path / "r"), flag, value]
+        )
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

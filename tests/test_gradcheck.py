@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import pytest
 
 from cobra import gradcheck, losses, nn
@@ -15,7 +17,7 @@ RELU_CHECKS = {
     "loss_total",
     "classifier_cross_entropy",
 }
-# every check that scores nce_loss's gradient
+# every check that scores the gradient of an NCE variant
 NCE_CHECKS = {"loss_c_nce_log", "loss_c_nce_literal", "loss_total"}
 
 
@@ -32,20 +34,41 @@ def test_all_checks_pass(results):
     assert not _failing(results), f"gradient checks failed: {_failing(results)}"
 
 
-def test_covers_every_loss_component_and_head(results):
+def test_covers_every_loss_component_and_head(monkeypatch):
+    """Every contrastive variant has a check of its own, whose finite
+    differences evaluate that variant's loss and no other."""
+    compare, contrastive_loss = gradcheck._compare, losses.contrastive_loss
+    comparing, evaluated = [], defaultdict(set)
+
+    def spy_compare(name, *args):
+        comparing.append(name)
+        try:
+            return compare(name, *args)
+        finally:
+            comparing.pop()
+
+    def spy_loss(*args, **kwargs):
+        if comparing:
+            evaluated[comparing[-1]].add(kwargs["variant"])
+        return contrastive_loss(*args, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "_compare", spy_compare)
+    monkeypatch.setattr(losses, "contrastive_loss", spy_loss)
+    names = {r.name for r in gradcheck.run_gradcheck(seed=0)}
+    contrastive = {gradcheck.CONTRASTIVE_CHECKS[v]: v for v in losses.CONTRASTIVE_VARIANTS}
+    assert len(contrastive) == len(losses.CONTRASTIVE_VARIANTS)
     assert {
         "layer_affine",
         "loss_r",
         "loss_m",
         "loss_s",
-        "loss_c_setform_exp",
-        "loss_c_nce_log",
-        "loss_c_setform_literal",
-        "loss_c_nce_literal",
+        *contrastive,
         "loss_total",
         "classifier_cross_entropy",
         "classifier_cross_entropy_dropout",
-    } <= {r.name for r in results}
+    } <= names
+    for name, variant in contrastive.items():
+        assert evaluated[name] == {variant}, name
 
 
 def test_relu_backward_fault_is_caught(monkeypatch):
@@ -69,15 +92,17 @@ def test_dropout_mask_backward_fault_is_caught(monkeypatch):
 
 
 def test_nce_image_gradient_fault_is_caught(monkeypatch):
-    """A 0.1% error in the image gradient nce_loss returns fails exactly the
-    checks that score it, the literal form on its own as well."""
-    nce_loss = losses.nce_loss
+    """A 0.1% error in the image gradient of both NCE variants fails exactly
+    the checks that score them, the literal form on its own as well."""
+    contrastive_loss = losses.contrastive_loss
 
     def faulty(*args, **kwargs):
-        value, g_image, g_text = nce_loss(*args, **kwargs)
-        return value, 1.001 * g_image, g_text
+        value, g_image, g_text, clamped = contrastive_loss(*args, **kwargs)
+        if kwargs["variant"] in ("nce", "nce_literal"):
+            g_image = 1.001 * g_image
+        return value, g_image, g_text, clamped
 
-    monkeypatch.setattr(losses, "nce_loss", faulty)
+    monkeypatch.setattr(losses, "contrastive_loss", faulty)
     assert _failing(gradcheck.run_gradcheck(seed=0)) == NCE_CHECKS
 
 

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -11,10 +11,10 @@ from cobra import losses, model as model_mod
 from cobra.errors import ConfigError, NumericError, PairingError, ShapeError
 from cobra.losses import (
     ContrastiveSets,
+    CONTRASTIVE_VARIANTS,
     LossWeights,
-    contrastive_loss_setform,
+    contrastive_loss,
     cross_modal_loss,
-    nce_loss,
     recon_loss,
     sample_contrastive_sets,
     supervised_loss,
@@ -262,22 +262,22 @@ def _uniform_sets_case(n_neg):
 @pytest.mark.parametrize("n_neg", [1, 5, 10])
 def test_setform_uniform_scores_give_log_n_plus_one(n_neg):
     sets, o_i, o_t = _uniform_sets_case(n_neg)
-    value, *_ = contrastive_loss_setform(sets, o_i, o_t, score_mode="exp", temperature=1.0)
+    value, *_ = contrastive_loss(sets, o_i, o_t, variant="setform", temperature=1.0)
     assert value == pytest.approx(math.log(n_neg + 1), abs=1e-10)
 
 
 def test_setform_literal_uniform_scores_same_identity():
     sets, o_i, o_t = _uniform_sets_case(4)
-    value, _, _, clamped = contrastive_loss_setform(
-        sets, o_i, o_t, score_mode="literal", temperature=1.0
+    value, _, _, clamped = contrastive_loss(
+        sets, o_i, o_t, variant="setform_literal", temperature=1.0
     )
     assert value == pytest.approx(math.log(5), abs=1e-10)
     assert clamped == 0
 
 
 def test_setform_empty_sets_zero():
-    value, g_i, g_t, clamped = contrastive_loss_setform(
-        [], np.ones((2, 3)), np.ones((2, 3)), score_mode="exp", temperature=1.0
+    value, g_i, g_t, clamped = contrastive_loss(
+        [], np.ones((2, 3)), np.ones((2, 3)), variant="setform", temperature=1.0
     )
     assert value == 0.0 and not g_i.any() and not g_t.any() and clamped == 0
 
@@ -286,8 +286,8 @@ def test_setform_literal_counts_clamped_scores():
     o_i = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     cs = _one_set(0, 2, [1])
     # positive dot = 0 (clamped), negative dot = -1 (clamped)
-    _, _, _, clamped = contrastive_loss_setform(
-        cs, o_i, np.ones((1, 2)), score_mode="literal", temperature=1.0
+    _, _, _, clamped = contrastive_loss(
+        cs, o_i, np.ones((1, 2)), variant="setform_literal", temperature=1.0
     )
     assert clamped == 2
 
@@ -295,24 +295,24 @@ def test_setform_literal_counts_clamped_scores():
 def test_setform_lower_when_positive_dominates():
     o_i = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
     cs = _one_set(0, 1, [2])
-    good, *_ = contrastive_loss_setform(
-        cs, o_i, np.ones((1, 2)), score_mode="exp", temperature=1.0
-    )
+    good, *_ = contrastive_loss(cs, o_i, np.ones((1, 2)), variant="setform", temperature=1.0)
     bad_cs = _one_set(0, 2, [1])
-    bad, *_ = contrastive_loss_setform(
-        bad_cs, o_i, np.ones((1, 2)), score_mode="exp", temperature=1.0
+    bad, *_ = contrastive_loss(
+        bad_cs, o_i, np.ones((1, 2)), variant="setform", temperature=1.0
     )
     assert good < math.log(2) < bad
 
 
 def test_setform_temperature_validation():
-    with pytest.raises(ConfigError):
-        contrastive_loss_setform(
-            [], np.ones((1, 1)), np.ones((1, 1)), score_mode="exp", temperature=0.0
-        )
-    with pytest.raises(ConfigError):
-        contrastive_loss_setform(
-            [], np.ones((1, 1)), np.ones((1, 1)), score_mode="bogus", temperature=1.0
+    for variant in CONTRASTIVE_VARIANTS:
+        for temperature in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="temperature"):
+                contrastive_loss(
+                    [], np.ones((1, 1)), np.ones((1, 1)), variant=variant, temperature=temperature
+                )
+    with pytest.raises(ConfigError, match="contrastive_variant"):
+        contrastive_loss(
+            [], np.ones((1, 1)), np.ones((1, 1)), variant="bogus", temperature=1.0
         )
 
 
@@ -342,7 +342,7 @@ def test_nce_loss_uniform_embeddings_closed_form():
     o_i = np.ones((n_neg + 2, 4))
     o_t = np.ones((1, 4))
     cs = _one_set(0, 1, [2 + k for k in range(n_neg)])
-    value, g_i, g_t = nce_loss(cs, o_i, o_t, form="log", temperature=1.0)
+    value, *_ = contrastive_loss(cs, o_i, o_t, variant="nce", temperature=1.0)
     h = 1.0 / (1 + n_neg)
     expected = -math.log(h) - n_neg * math.log(1 - h)
     assert value == pytest.approx(expected, abs=1e-10)
@@ -353,19 +353,25 @@ def test_nce_literal_uniform_embeddings_closed_form():
     o_i = np.ones((n_neg + 2, 4))
     o_t = np.ones((1, 4))
     cs = _one_set(0, 1, [2 + k for k in range(n_neg)])
-    value, *_ = nce_loss(cs, o_i, o_t, form="literal", temperature=1.0)
+    value, *_ = contrastive_loss(cs, o_i, o_t, variant="nce_literal", temperature=1.0)
     h = 1.0 / (1 + n_neg)
     assert value == pytest.approx(-h - n_neg * (1 - h), abs=1e-10)
 
 
 def test_nce_empty_sets_zero():
-    value, g_i, g_t = nce_loss([], np.ones((2, 2)), np.ones((2, 2)), form="log", temperature=1.0)
-    assert value == 0.0 and not g_i.any() and not g_t.any()
+    value, g_i, g_t, clamped = contrastive_loss(
+        [], np.ones((2, 2)), np.ones((2, 2)), variant="nce", temperature=1.0
+    )
+    assert value == 0.0 and not g_i.any() and not g_t.any() and clamped == 0
 
 
 def test_nce_form_validation():
-    with pytest.raises(ConfigError):
-        nce_loss([], np.ones((1, 1)), np.ones((1, 1)), form="bogus", temperature=1.0)
+    """The retired nce_form and score_mode values name no variant."""
+    for form in ("log", "exp", "literal", "nce_log", "setform_exp"):
+        with pytest.raises(ConfigError, match="contrastive_variant"):
+            contrastive_loss(
+                [], np.ones((1, 1)), np.ones((1, 1)), variant=form, temperature=1.0
+            )
 
 
 # ---------------------------------------------------------------- loop oracle
@@ -389,16 +395,32 @@ def _contrastive_batch(draw):
 
 
 def _assert_matches_oracle(got, want):
-    value, g_i, g_t, *clamped = got
-    o_value, o_g_i, o_g_t, *o_clamped = want
+    """The vectorised loss against the loop oracle's. Both add up the same
+    gradient terms in other orders, and those terms can be far larger than
+    the entry they sum to, so each entry's tolerance scales with the summed
+    size of its terms (at least 1), not with the result."""
+    (value, g_i, g_t, clamped), ((o_value, o_g_i, o_g_t, o_clamped), bounds) = got, want
     assert value == pytest.approx(o_value, rel=1e-12, abs=1e-12)
-    for g, o_g in ((g_i, o_g_i), (g_t, o_g_t)):
+    for g, o_g, bound in zip((g_i, g_t), (o_g_i, o_g_t), bounds):
         assert g.shape == o_g.shape
-        np.testing.assert_allclose(g, o_g, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(o_g).max()))
+        tol = 1e-12 * np.maximum(bound, 1.0)
+        off = np.abs(g - o_g) > tol
+        assert not off.any(), f"{g[off]} != {o_g[off]} within {tol[off]}"
     assert clamped == o_clamped
 
 
+# an embedding entry of 1e-5: the literal setform gradient of its row sums
+# terms near 1e5 to about 0.07, which the two orders round 2e-12 apart
+_NEAR_CLAMP = (
+    [np.array([1, 0]), np.zeros(7, dtype=np.int64)],
+    [np.array([[1.0], [0.0]]), np.array([[0.0], [1e-5], [0.0], [0.75], [0.0], [0.0], [0.0]])],
+    2,
+    0.5,
+)
+
+
 @given(batch=_contrastive_batch(), seed=st.integers(0, 2**16))
+@example(batch=_NEAR_CLAMP, seed=0)
 @settings(max_examples=80, deadline=None)
 def test_vectorised_losses_match_loop_oracle(batch, seed):
     (labels_i, labels_t), (o_i, o_t), n_neg, tau = batch
@@ -412,16 +434,28 @@ def test_vectorised_losses_match_loop_oracle(batch, seed):
             )
             for name in ("anchor", "positive", "negatives"):
                 assert np.array_equal(getattr(again, name), getattr(sets, name))
-            for form in ("log", "literal"):
+            for variant in CONTRASTIVE_VARIANTS:
                 _assert_matches_oracle(
-                    nce_loss(sets, o_i, o_t, form=form, temperature=tau),
-                    oracle.nce_loss(refs, o_i, o_t, form=form, temperature=tau),
+                    contrastive_loss(sets, o_i, o_t, variant=variant, temperature=tau),
+                    oracle.contrastive_loss(refs, o_i, o_t, variant, tau),
                 )
-            for mode in ("exp", "literal"):
-                _assert_matches_oracle(
-                    contrastive_loss_setform(sets, o_i, o_t, score_mode=mode, temperature=tau),
-                    oracle.contrastive_loss_setform(refs, o_i, o_t, mode, tau),
-                )
+
+
+@pytest.mark.parametrize("variant", CONTRASTIVE_VARIANTS)
+def test_loop_oracle_comparison_catches_a_relative_gradient_error(variant):
+    """A gradient 1e-9 off in relative terms fails the oracle comparison."""
+    rng = np.random.default_rng(4)
+    labels_i, labels_t = np.array([0, 1, 2, 0, 1]), np.array([1, 2, 0, 0])
+    o_i, o_t = rng.uniform(0.5, 1.5, (5, 3)), rng.uniform(0.5, 1.5, (4, 3))
+    sets, _ = sample_contrastive_sets(labels_i, labels_t, 2, np.random.default_rng(0))
+    want = oracle.contrastive_loss(oracle.as_refs(sets, 5), o_i, o_t, variant, 0.5)
+    value, g_i, g_t, clamped = contrastive_loss(
+        sets, o_i, o_t, variant=variant, temperature=0.5
+    )
+    _assert_matches_oracle((value, g_i, g_t, clamped), want)
+    for off in ((g_i * (1 + 1e-9), g_t), (g_i, g_t * (1 + 1e-9))):
+        with pytest.raises(AssertionError):
+            _assert_matches_oracle((value, *off, clamped), want)
 
 
 # ---------------------------------------------------------------- weights / total

@@ -107,8 +107,7 @@ def _unread_parameters(path: Path) -> list[str]:
 
 def test_every_parameter_is_read():
     """A parameter no body reads is an option that changes nothing. Nested
-    closures are exempt: they follow a callback protocol, as setform's
-    block_loss(dots, anchor, cand) does without reading `anchor`."""
+    closures are exempt: they may follow a callback protocol."""
     unread = [u for path in sorted(PACKAGE.glob("*.py")) for u in _unread_parameters(path)]
     assert not unread, f"parameters never read: {unread}"
 

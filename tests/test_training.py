@@ -7,7 +7,7 @@ import pytest
 
 import head_step_oracle
 import train_step_oracle as oracle
-from cobra import checkpoint, data, model as model_mod, nn, training
+from cobra import checkpoint, data, losses, model as model_mod, nn, training
 from cobra.errors import ConfigError, NumericError
 from cobra.losses import LossWeights
 from cobra.nn import RngStreams
@@ -52,10 +52,13 @@ def test_config_validation():
         (TrainConfig, dict(checkpoint_every=-1), "checkpoint_every"),
         (TrainConfig, dict(seed=-1), "seed"),
         (TrainConfig, dict(temperature=0.0), "temperature"),
+        (TrainConfig, dict(eta=float("inf")), "eta"),
+        (TrainConfig, dict(temperature=float("inf")), "temperature"),
         (TrainConfig, dict(contrastive_variant="bogus"), "contrastive_variant"),
-        (TrainConfig, dict(score_mode="bogus"), "score_mode"),
-        (TrainConfig, dict(nce_form="bogus"), "nce_form"),
+        (TrainConfig, dict(contrastive_variant="nce_log"), "contrastive_variant"),
         (LossWeights, dict(lambda_c=float("nan")), "nonnegative"),
+        (LossWeights, dict(lambda_c=float("inf")), "lambda_c must be nonnegative and finite"),
+        (LossWeights, dict(lambda_r=float("inf")), "lambda_r"),
         (HeadConfig, dict(epochs=0), "epochs"),
         (HeadConfig, dict(seed=-1), "seed"),
     ]
@@ -247,6 +250,23 @@ def test_zero_eta_leaves_params_unchanged():
     training.train_step(state, mb)
     for p in m.params():
         assert np.array_equal(p.value, before[p.name])
+
+
+def test_no_contrastive_variant_is_an_alias():
+    """One train_step from one seed trains a different model under each
+    contrastive variant."""
+    paired = tiny_paired(classes=3, per_class=8, d_image=6, d_text=5)
+    trained = set()
+    for variant in losses.CONTRASTIVE_VARIANTS:
+        cfg = small_config(contrastive_variant=variant)
+        streams = RngStreams(cfg.seed)
+        m = model_mod.init_model(6, 5, 3, seed=0)
+        state = training.TrainState(model=m, config=cfg, streams=streams)
+        training.train_step(
+            state, training.sample_minibatch(paired, cfg.batch, streams.get("minibatch"))
+        )
+        trained.add(b"".join(p.value.tobytes() for p in m.params()))
+    assert len(trained) == len(losses.CONTRASTIVE_VARIANTS) == 4
 
 
 def test_training_deterministic_per_seed():
