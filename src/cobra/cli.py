@@ -1,12 +1,12 @@
-"""Command-line surface: synth, train, eval-retrieval, eval-classify, embed,
-gradcheck.
+"""Command-line surface: synth, train, train-head, eval-retrieval,
+eval-classify, embed, gradcheck.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 I/O error,
 4 numeric halt. Machine-readable records go to stdout, progress to stderr.
 Flag values override config-file values override built-in defaults; the
-effective training config is echoed to the run log. The `train` and `synth`
-settings, their types, defaults and valid values come from the fields of
-TrainConfig (with LossWeights) and SyntheticSpec.
+effective training config is echoed to the run log. The `train`, `train-head`
+and `synth` settings, their types, defaults and valid values come from the
+fields of TrainConfig (with LossWeights), HeadConfig and SyntheticSpec.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ def _setting(f) -> tuple:
 TRAIN_SETTINGS = {_RENAMED.get(f.name, f.name): _setting(f) for f in _train_fields()}
 TRAIN_SETTINGS["val_fraction"] = (0.1, float, None)
 SYNTH_SETTINGS = {f.name: _setting(f) for f in dc_fields(data.SyntheticSpec)}
+HEAD_SETTINGS = {f.name: _setting(f) for f in dc_fields(training.HeadConfig)}
 # keys of older run.logs -> (the contrastive family they applied to, their values)
 _RETIRED_FORMS = {
     "nce_form": ("nce", ("log", "literal")),
@@ -193,6 +194,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def cmd_train_head(args) -> int:
+    config = training.HeadConfig(**{key: getattr(args, key) for key in HEAD_SETTINGS})
+    model = checkpoint.load_checkpoint(args.checkpoint)
+    paired = data.load_paired(args.manifest)
+    head = training.train_classifier(model, paired, head_config=config)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    checkpoint.save_checkpoint(head, out)
+    _progress(f"wrote {out}")
+    return EXIT_OK
+
+
 def cmd_eval_retrieval(args) -> int:
     model = checkpoint.load_checkpoint(args.checkpoint)
     paired = data.load_paired(args.manifest)
@@ -255,6 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     # unset flags stay None, so config-file values and defaults apply
     _add_setting_flags(tp, TRAIN_SETTINGS, with_defaults=False)
     tp.set_defaults(func=cmd_train)
+
+    hp = sub.add_parser("train-head", help="train the fusion head on a frozen model")
+    hp.add_argument("--manifest", required=True)
+    hp.add_argument("--checkpoint", required=True)
+    hp.add_argument("--out", required=True, help="head checkpoint file")
+    _add_setting_flags(hp, HEAD_SETTINGS, with_defaults=True)
+    hp.set_defaults(func=cmd_train_head)
 
     rp = sub.add_parser("eval-retrieval", help="cross-modal retrieval mAP")
     rp.add_argument("--manifest", required=True)

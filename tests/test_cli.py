@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import feature_file_oracle
-from cobra import checkpoint, cli, data, evaluation, model as model_mod
+from cobra import checkpoint, cli, data, evaluation, model as model_mod, training
 from cobra.data import SyntheticSpec
 from cobra.losses import LossWeights
-from cobra.training import TrainConfig
+from cobra.training import HeadConfig, TrainConfig
 from conftest import scale_relu_backward
 
 
@@ -427,6 +427,14 @@ def test_synth_flags_are_synthetic_spec_fields():
     assert all(opts == ["--" + key.replace("_", "-")] for key, opts in flags.items())
 
 
+def test_train_head_flags_are_head_config_fields():
+    flags = _flags("train-head")
+    for key in ("help", "manifest", "checkpoint", "out"):
+        del flags[key]
+    assert set(flags) == {f.name for f in dataclasses.fields(HeadConfig)}
+    assert all(opts == ["--" + key.replace("_", "-")] for key, opts in flags.items())
+
+
 def test_synth_split_not_a_number_exit_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "synth", "--classes", "3", "--out", str(tmp_path / "d"),
@@ -446,7 +454,7 @@ def test_synth_split_more_than_three_fractions_exit_2(tmp_path, capsys):
     assert not (tmp_path / "d" / "train.manifest").exists()
 
 
-def test_train_missing_manifest_exit_2(tmp_path, capsys):
+def test_train_missing_manifest_exit_3(tmp_path, capsys):
     # a missing manifest surfaces as OSError -> exit 3
     code, *_ = run_cli(
         capsys, "train", "--manifest", str(tmp_path / "none.manifest"),
@@ -633,26 +641,145 @@ def test_end_to_end_determinism(dataset, tmp_path, capsys):
     assert out_a == out_b
 
 
-def test_eval_classify_record(run_dir, dataset, tmp_path, capsys):
-    # train a head directly (no CLI subcommand trains the head standalone)
-    from cobra import checkpoint, data as data_mod, training
-
-    model = checkpoint.load_checkpoint(run_dir / "final.ckpt")
-    paired = data_mod.load_paired(dataset / "train.manifest")
-    head = training.train_classifier(
-        model, paired, head_config=training.HeadConfig(epochs=2)
+def _train_head(capsys, manifest, model, out, *flags):
+    code, stdout, err = run_cli(
+        capsys, "train-head", "--manifest", str(manifest), "--checkpoint", str(model),
+        "--out", str(out), *flags,
     )
+    assert code == 0, err
+    assert stdout == ""
+
+
+def _accuracy_line(head_path, model_path, manifest) -> str:
+    head = checkpoint.load_head(head_path)
+    model = checkpoint.load_checkpoint(model_path)
+    paired = data.load_paired(manifest)
+    acc = evaluation.classification_accuracy(head, model, paired, paired.labels)
+    return f"accuracy={acc:.5f} n={paired.n_pairs}"
+
+
+def test_eval_classify_record(run_dir, dataset, tmp_path, capsys):
     head_path = tmp_path / "head.ckpt"
-    checkpoint.save_checkpoint(head, head_path)
+    # not the default seed, so an ignored --seed changes the bytes
+    _train_head(
+        capsys, dataset / "train.manifest", run_dir / "final.ckpt", head_path,
+        "--epochs", "2", "--seed", "3",
+    )
+    head = training.train_classifier(
+        checkpoint.load_checkpoint(run_dir / "final.ckpt"),
+        data.load_paired(dataset / "train.manifest"),
+        head_config=HeadConfig(epochs=2, seed=3),
+    )
+    want = tmp_path / "want.ckpt"
+    checkpoint.save_checkpoint(head, want)
+    assert head_path.read_bytes() == want.read_bytes()
     code, out, _ = run_cli(
         capsys, "eval-classify", "--manifest", str(dataset / "test.manifest"),
         "--checkpoint", str(run_dir / "final.ckpt"),
         "--head-checkpoint", str(head_path),
     )
     assert code == 0
-    m = re.match(r"accuracy=(\d\.\d{5}) n=(\d+)", out.strip())
-    assert m
-    assert 0.0 <= float(m.group(1)) <= 1.0
+    assert out == _accuracy_line(
+        head_path, run_dir / "final.ckpt", dataset / "test.manifest"
+    ) + "\n"
+
+
+def test_pipeline_synth_train_head_eval(tmp_path, capsys):
+    """The README's pipeline: synth -> train -> train-head -> eval-retrieval
+    -> eval-classify. The head file is the library's, byte for byte, and
+    each run with one seed writes the same bytes."""
+    ds, run = tmp_path / "ds", tmp_path / "run"
+    assert run_cli(
+        capsys, "synth", "--classes", "3", "--pairs-per-class", "20",
+        "--split", "0.8,0.1,0.1", "--out", str(ds),
+    )[0] == 0
+    assert run_cli(
+        capsys, "train", "--manifest", str(ds / "train.manifest"),
+        "--val-manifest", str(ds / "val.manifest"), "--out", str(run), "--epochs", "1",
+    )[0] == 0
+    model, train, test = run / "final.ckpt", ds / "train.manifest", ds / "test.manifest"
+    heads = [tmp_path / "a" / "head.ckpt", tmp_path / "b" / "head.ckpt"]
+    for head in heads:
+        _train_head(capsys, train, model, head, "--epochs", "1", "--seed", "0")
+    assert heads[0].read_bytes() == heads[1].read_bytes()
+
+    want = tmp_path / "want.ckpt"
+    checkpoint.save_checkpoint(
+        training.train_classifier(
+            checkpoint.load_checkpoint(model), data.load_paired(train),
+            head_config=HeadConfig(epochs=1, seed=0),
+        ),
+        want,
+    )
+    assert heads[0].read_bytes() == want.read_bytes()
+
+    code, retrieval, _ = run_cli(
+        capsys, "eval-retrieval", "--manifest", str(test), "--checkpoint", str(model)
+    )
+    assert code == 0
+    assert retrieval.splitlines()[-1] == "map_avg=0.56111"
+    code, accuracy, _ = run_cli(
+        capsys, "eval-classify", "--manifest", str(test), "--checkpoint", str(model),
+        "--head-checkpoint", str(heads[0]),
+    )
+    assert code == 0
+    assert accuracy.endswith(" n=6\n")
+    assert accuracy == _accuracy_line(heads[0], model, test) + "\n"
+
+
+@pytest.mark.parametrize(
+    "flags, setting",
+    [
+        pytest.param(["--epochs", "0"], "epochs", id="epochs0"),
+        pytest.param(["--seed", "-1"], "seed", id="seed-1"),
+    ],
+)
+def test_train_head_rejects_invalid_setting_before_reading(
+    run_dir, dataset, tmp_path, capsys, monkeypatch, flags, setting
+):
+    def fail(*args):
+        raise AssertionError("read before the settings were checked")
+
+    monkeypatch.setattr(cli.checkpoint, "load_checkpoint", fail)
+    monkeypatch.setattr(cli.data, "load_paired", fail)
+    code, out, err = run_cli(
+        capsys, "train-head", "--manifest", str(dataset / "train.manifest"),
+        "--checkpoint", str(run_dir / "final.ckpt"),
+        "--out", str(tmp_path / "h" / "head.ckpt"), *flags,
+    )
+    assert code == 2
+    assert out == ""
+    assert setting in err
+    assert not (tmp_path / "h").exists()
+
+
+def test_train_head_feature_width_mismatch_exit_2(run_dir, tmp_path, capsys):
+    wide = tmp_path / "wide"
+    assert run_cli(
+        capsys, "synth", "--classes", "3", "--d-image", "9", "--d-text", "6",
+        "--pairs-per-class", "4", "--out", str(wide),
+    )[0] == 0
+    code, out, err = run_cli(
+        capsys, "train-head", "--manifest", str(wide / "data.manifest"),
+        "--checkpoint", str(run_dir / "final.ckpt"),
+        "--out", str(tmp_path / "h" / "head.ckpt"), "--epochs", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: image encode: input width 9 != 8" in err  # the ShapeError's
+    assert not (tmp_path / "h").exists()
+
+
+def test_train_head_missing_checkpoint_exit_3(dataset, tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "train-head", "--manifest", str(dataset / "train.manifest"),
+        "--checkpoint", str(tmp_path / "none.ckpt"),
+        "--out", str(tmp_path / "h" / "head.ckpt"),
+    )
+    assert code == 3
+    assert out == ""
+    assert "I/O error: " in err
+    assert not (tmp_path / "h").exists()
 
 
 def test_gradcheck_pass_exit_0(capsys):

@@ -9,8 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from cobra import cli
-
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
@@ -24,11 +22,6 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
-
-
-def run_cli(capsys, *argv) -> list[str]:
-    assert cli.main(list(argv)) == 0
-    return capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
@@ -45,33 +38,6 @@ def test_ablate_contrastive_one_seed():
     assert len(lines) == 2
     assert lines[0].startswith("seed=0 map_with_c=")
     assert lines[1] == "wins=1/1"
-
-
-def test_synthetic_experiment_matches_cli_evaluation(tmp_path, capsys):
-    """The README's workflow: the script's retrieval and accuracy lines are
-    what `cobra eval-retrieval` and `cobra eval-classify` print for the
-    checkpoints it writes, on the test split `cobra synth` draws from the
-    same spec."""
-    out = tmp_path / "exp"
-    proc = run_script(
-        "run_synthetic_experiment.py", "--classes", "3", "--pairs-per-class", "20",
-        "--epochs", "1", "--head-epochs", "1", "--out", str(out),
-    )
-    assert proc.returncode == 0, proc.stderr
-    ds = tmp_path / "ds"
-    run_cli(
-        capsys, "synth", "--classes", "3", "--pairs-per-class", "20",
-        "--split", "0.8,0.1,0.1", "--out", str(ds),
-    )
-    test = str(ds / "test.manifest")
-    want = run_cli(
-        capsys, "eval-retrieval", "--manifest", test, "--checkpoint", str(out / "final.ckpt")
-    ) + run_cli(
-        capsys, "eval-classify", "--manifest", test, "--checkpoint", str(out / "final.ckpt"),
-        "--head-checkpoint", str(out / "head.ckpt"),
-    )
-    assert proc.stdout.splitlines()[-4:] == want
-    assert want[-1].endswith(" n=6")
 
 
 FAKE_RUN = """\
