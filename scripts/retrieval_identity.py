@@ -6,7 +6,7 @@ sets the workload up as the benchmark does, and its `cobra` package makes
 the model: the checkpoint the set-up trains (`eval` workloads) or the model
 one training round makes (`train` workloads). The parent's and the change's
 `evaluation.retrieval_report` then score that model on the test split, and
-every per-query AP, `n_excluded` and `map_avg` are compared with `==`. Each
+every per-query AP, `n_queries` and `map_avg` are compared with `==`. Each
 model is scored twice: in its own dtype (float32, ranked by the integer key
 sort) and cast to float64 as a checkpoint of float64 values (a v1 file)
 loads, which `rank_gallery`'s argsort path ranks.
@@ -52,7 +52,7 @@ def load_package(name: str, tree: Path):
 def identical(a, b) -> bool:
     return a.map_avg == b.map_avg and all(
         a.fragments[d].ap_per_query == b.fragments[d].ap_per_query
-        and a.fragments[d].n_excluded == b.fragments[d].n_excluded
+        and a.fragments[d].n_queries == b.fragments[d].n_queries
         for d in DIRECTIONS
     )
 
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
                 "retrieval_report of each workload's test split, scored by the parent's and the change's "
                 "evaluation module on the same model (eval workloads: the checkpoint the set-up trains; "
                 "train workloads: the model a round trains), per seed, in the model's dtype and cast to "
-                "float64 as a checkpoint of float64 values loads: every per-query AP, n_excluded and "
+                "float64 as a checkpoint of float64 values loads: every per-query AP, n_queries and "
                 "map_avg compared with =="
             ),
             "every_seed_identical": every,

@@ -209,9 +209,7 @@ def cmd_train_head(args) -> int:
 def cmd_eval_retrieval(args) -> int:
     model = checkpoint.load_checkpoint(args.checkpoint)
     paired = data.load_paired(args.manifest)
-    report = evaluation.retrieval_report(
-        model, paired, zero_relevant=args.zero_relevant, map_at=args.map_at
-    )
+    report = evaluation.retrieval_report(model, paired, map_at=args.map_at)
     for line in report.record_lines():
         print(line)
     return EXIT_OK
@@ -280,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--manifest", required=True)
     rp.add_argument("--checkpoint", required=True)
     rp.add_argument("--map-at", type=int, default=None, dest="map_at")
-    rp.add_argument(
-        "--zero-relevant", choices=evaluation.ZERO_RELEVANT, default="exclude"
-    )
     rp.set_defaults(func=cmd_eval_retrieval)
 
     cp = sub.add_parser("eval-classify", help="bi-modal classification accuracy")

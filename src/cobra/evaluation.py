@@ -3,9 +3,10 @@ joint-embedding export.
 
 Retrieval ranks the gallery by cosine similarity over the joint embeddings,
 ties broken by ascending gallery index; an item is relevant iff it shares
-the query's class. AP is computed over the full ranked list. Queries with no
-relevant gallery item have undefined AP and are excluded from the mean (and
-counted), unless ``zero_relevant="zero"`` scores them as 0.
+the query's class. Queries and gallery are the two sides of the same pairs,
+so every query has a relevant item, its own pair. AP is computed over the
+full ranked list, or over its top k for mAP@k, where a query with no
+relevant item in the top k scores 0; the mean is over every query.
 
 Queries are ranked in blocks of about ``_BLOCK_SCORES`` scores by
 ``ranked_relevance``. A float32 block (the scores of a v2 checkpoint's
@@ -38,7 +39,6 @@ from .errors import ConfigError, NumericError
 from .model import ClassifierHead, CobraModel
 
 DIRECTIONS = ("ITT", "TTI")
-ZERO_RELEVANT = ("exclude", "zero")
 # Scores ranked at once: a block takes as many queries as fit, at least one.
 # Their int64 sort keys take 2 MB, the size of a per-core L2 cache, and each
 # of the two ranking threads keeps its block in its own core's L2. On a
@@ -57,7 +57,6 @@ class RetrievalFragment:
     map_value: float
     ap_per_query: list[float]
     n_queries: int
-    n_excluded: int
 
 
 @dataclass
@@ -71,10 +70,7 @@ class RetrievalReport:
         lines = []
         for d in DIRECTIONS:
             f = self.fragments[d]
-            lines.append(
-                f"direction={d} map={f.map_value:.5f} "
-                f"queries={f.n_queries} excluded={f.n_excluded}"
-            )
+            lines.append(f"direction={d} map={f.map_value:.5f} queries={f.n_queries}")
         lines.append(f"map_avg={self.map_avg:.5f}")
         return lines
 
@@ -216,17 +212,16 @@ def _fragment(
     direction: str,
     q_emb: np.ndarray,
     g_emb: np.ndarray,
-    q_labels: np.ndarray,
-    g_labels: np.ndarray,
-    zero_relevant: str,
+    labels: np.ndarray,
     map_at: int | None,
 ) -> RetrievalFragment:
-    """Scores one direction, ranking a block of queries with about
-    _BLOCK_SCORES scores at a time.
+    """Scores one direction of pairs, query i and gallery item i sharing
+    labels[i], ranking a block of queries with about _BLOCK_SCORES scores at
+    a time.
 
     With more than one block, the calling thread ranks the even blocks and
     one worker thread the odd ones. Each block writes only its own rows of
-    ``aps`` and ``found`` and does the same arithmetic as on one thread, so
+    ``aps`` and does the same arithmetic as on one thread, so
     every AP is the same bit for bit. The worker is joined before this
     returns, also when a block raises. A single block runs on the calling
     thread and starts no worker: an idle worker started and joined per
@@ -238,15 +233,13 @@ def _fragment(
     n = q_emb.shape[0]
     rows = max(1, _BLOCK_SCORES // g_emb.shape[0])
     aps = np.zeros(n)
-    found = np.zeros(n, dtype=bool)
 
     def score(starts: range):
         for start in starts:
             block = slice(start, start + rows)
-            relevant = g_labels == q_labels[block, None]
+            relevant = labels == labels[block, None]
             rel = ranked_relevance(sims[block], relevant)[:, :map_at]
-            hit = rel.any(axis=1)
-            found[block] = hit
+            hit = rel.any(axis=1)  # a miss in the top map_at keeps AP 0
             aps[block][hit] = average_precision(rel[hit])
 
     starts = range(0, n, rows)
@@ -257,42 +250,29 @@ def _fragment(
             odd.result()
     else:
         score(starts)
-    kept = aps if zero_relevant == "zero" else aps[found]
     return RetrievalFragment(
         direction=direction,
-        map_value=float(np.mean(kept)) if kept.size else 0.0,
-        ap_per_query=kept.tolist(),
-        n_queries=kept.size,
-        n_excluded=n - kept.size,
+        map_value=float(np.mean(aps)),
+        ap_per_query=aps.tolist(),
+        n_queries=n,
     )
 
 
 def retrieval_report(
-    model: CobraModel,
-    paired: PairedDataset,
-    zero_relevant: str = "exclude",
-    map_at: int | None = None,
+    model: CobraModel, paired: PairedDataset, map_at: int | None = None
 ) -> RetrievalReport:
     """Both directions: ITT queries images against the text gallery, TTI the
     reverse; map_avg is their mean. Each modality is embedded once.
 
     map_at (at least 1) truncates each ranked list to its top k before
-    scoring; queries with no relevant item in the (possibly truncated) list
-    follow the zero_relevant convention."""
-    if zero_relevant not in ZERO_RELEVANT:
-        raise ConfigError(
-            f"zero_relevant must be one of {ZERO_RELEVANT}, got {zero_relevant!r}"
-        )
+    scoring: mAP@k, the mean over every query, where a query with no
+    relevant item in its top k scores 0."""
     if map_at is not None and map_at < 1:
         raise ConfigError(f"map_at must be at least 1, got {map_at}")
-    image, text = paired.image, paired.text
-    o_image, o_text = embed_dataset(model, image), embed_dataset(model, text)
-    itt = _fragment(
-        "ITT", o_image, o_text, image.labels, text.labels, zero_relevant, map_at
-    )
-    tti = _fragment(
-        "TTI", o_text, o_image, text.labels, image.labels, zero_relevant, map_at
-    )
+    o_image = embed_dataset(model, paired.image)
+    o_text = embed_dataset(model, paired.text)
+    itt = _fragment("ITT", o_image, o_text, paired.labels, map_at)
+    tti = _fragment("TTI", o_text, o_image, paired.labels, map_at)
     return RetrievalReport(
         map_itt=itt.map_value,
         map_tti=tti.map_value,

@@ -73,7 +73,7 @@ def _check_model_loss(name: str, cfg: TrainConfig, seed: int) -> CheckResult:
     def breakdown():
         cache = model_mod.forward_full(model, x_i, x_t)
         # fixed-seed sampling keeps the objective a pure function of params
-        bd = losses.total_loss(cache, y, y, cfg, np.random.default_rng(12345))
+        bd = losses.total_loss(cache, y, cfg, np.random.default_rng(12345))
         return cache, bd
 
     cache, bd = breakdown()
@@ -91,7 +91,7 @@ def _check_literal_contrastive(name: str, seed: int, variant: str) -> CheckResul
     o_i = Param("o_image", rng.uniform(0.5, 1.5, size=(4, 3)))
     o_t = Param("o_text", rng.uniform(0.5, 1.5, size=(4, 3)))
     y = np.array([0, 1, 2, 0])
-    sets, _ = losses.sample_contrastive_sets(y, y, 3, np.random.default_rng(12345))
+    sets, _ = losses.sample_contrastive_sets(y, 3, np.random.default_rng(12345))
 
     def loss():
         return losses.contrastive_loss(

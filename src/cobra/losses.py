@@ -143,9 +143,10 @@ def supervised_loss(o, labels, num_classes):
 
 
 def sample_contrastive_sets(
-    labels_image, labels_text, n_negatives: int, rng: np.random.Generator
+    labels, n_negatives: int, rng: np.random.Generator
 ) -> tuple[ContrastiveSets, int]:
-    """Draws one set per eligible row of the stacked [image; text] minibatch.
+    """Draws one set per eligible row of the stacked [image; text] minibatch,
+    whose image and text rows share the one label vector of the pairs.
 
     The positive is uniform over the other rows of the anchor's modality and
     class. The negatives are uniform over the rows of any modality with a
@@ -155,11 +156,10 @@ def sample_contrastive_sets(
     """
     if n_negatives < 1:
         raise ConfigError(f"n_negatives must be >= 1, got {n_negatives}")
-    n_image = np.asarray(labels_image).size
-    labels = np.concatenate([np.asarray(labels_image), np.asarray(labels_text)])
+    labels = np.concatenate([labels, labels])
     n_rows = labels.size
     _, cls, cls_count = np.unique(labels, return_inverse=True, return_counts=True)
-    grp = cls + cls_count.size * (np.arange(n_rows) >= n_image)  # (modality, class)
+    grp = cls + cls_count.size * (np.arange(n_rows) >= n_rows // 2)  # (modality, class)
     _, grp, grp_count = np.unique(grp, return_inverse=True, return_counts=True)
     n_pos = grp_count[grp] - 1
     n_pool = n_rows - cls_count[cls]
@@ -297,12 +297,11 @@ def contrastive_loss(
     return inv_n * total, d_x[:n_image], d_x[n_image:], clamped
 
 
-def total_loss(
-    cache, labels_image, labels_text, cfg: TrainConfig, rng: np.random.Generator
-) -> LossBreakdown:
+def total_loss(cache, labels, cfg: TrainConfig, rng: np.random.Generator) -> LossBreakdown:
     """Assembles the weighted objective and its upstream gradients from a
-    ForwardCache, with the weights and loss settings of `cfg`. Component
-    gradients targeting the same tensor are summed with their weights applied."""
+    ForwardCache of pairs and their one label vector, with the weights and
+    loss settings of `cfg`. Component gradients targeting the same tensor are
+    summed with their weights applied."""
     weights = cfg.weights
     img, txt = cache.image, cache.text
     bd = LossBreakdown(
@@ -322,16 +321,14 @@ def total_loss(
         bd.d_o_image += weights.lambda_m * g_oi
 
     c = img.o.shape[1]
-    l_s_i, g_si = supervised_loss(img.o, labels_image, c)
-    l_s_t, g_st = supervised_loss(txt.o, labels_text, c)
+    l_s_i, g_si = supervised_loss(img.o, labels, c)
+    l_s_t, g_st = supervised_loss(txt.o, labels, c)
     bd.l_s = l_s_i + l_s_t
     bd.d_o_image += weights.lambda_s * g_si
     bd.d_o_text += weights.lambda_s * g_st
 
     if weights.lambda_c > 0:
-        sets, bd.skipped_anchors = sample_contrastive_sets(
-            labels_image, labels_text, cfg.n_negatives, rng
-        )
+        sets, bd.skipped_anchors = sample_contrastive_sets(labels, cfg.n_negatives, rng)
         bd.l_c, g_ci, g_ct, bd.clamped_scores = contrastive_loss(
             sets, img.o, txt.o, variant=cfg.contrastive_variant, temperature=cfg.temperature
         )

@@ -115,27 +115,21 @@ def _clip_batch(b: int, n_pairs: int) -> int:
 def sample_minibatch(paired: PairedDataset, b: int, rng: np.random.Generator):
     """Uniform pair indices without replacement within the batch.
 
-    Returns (x_image, y_image, x_text, y_text, idx); the same index list
-    feeds both modalities so cross-modal pairing holds.
+    Returns (x_image, x_text, labels, idx); the same index list feeds both
+    modalities so cross-modal pairing holds.
     """
     b = _clip_batch(b, paired.n_pairs)
     idx = rng.choice(paired.n_pairs, size=b, replace=False)
-    return (
-        paired.image.features[idx],
-        paired.image.labels[idx],
-        paired.text.features[idx],
-        paired.text.labels[idx],
-        idx,
-    )
+    return paired.image.features[idx], paired.text.features[idx], paired.labels[idx], idx
 
 
 def train_step(state: TrainState, minibatch) -> LossBreakdown:
     """Forward, loss assembly, backward, SGD update. Halts on non-finite loss."""
-    x_i, y_i, x_t, y_t, _ = minibatch
+    x_i, x_t, y, _ = minibatch
     cfg = state.config
     dtype = state.model.dtype
     cache = model_mod.forward_full(state.model, x_i.astype(dtype), x_t.astype(dtype))
-    bd = losses.total_loss(cache, y_i, y_t, cfg, state.streams.get("negatives"))
+    bd = losses.total_loss(cache, y, cfg, state.streams.get("negatives"))
     if not np.isfinite(bd.total):
         raise NumericError(
             f"non-finite total loss at epoch {state.epoch} "
@@ -159,7 +153,7 @@ def validation_loss(
         model, paired.image.features.astype(dtype), paired.text.features.astype(dtype)
     )
     val_rng = streams.derive(4)
-    return losses.total_loss(cache, paired.image.labels, paired.text.labels, cfg, val_rng).total
+    return losses.total_loss(cache, paired.labels, cfg, val_rng).total
 
 
 def train(
@@ -344,18 +338,16 @@ def train_classifier(
     head_config: HeadConfig | None = None,
 ) -> ClassifierHead:
     """Trains the fusion head on frozen joint embeddings (two-stage), on the
-    labels `paired` carries; to train on other labels, pass a PairedDataset
-    that carries them."""
+    labels `paired` carries, with one output per class of `paired`; to train
+    on other labels, pass a PairedDataset that carries them."""
     cfg = head_config or HeadConfig()
     labels = paired.labels
-    num_task_classes = int(labels.max()) + 1
-
     dtype = frozen_model.dtype
     o_image = evaluation.embed_dataset(frozen_model, paired.image)
     o_text = evaluation.embed_dataset(frozen_model, paired.text)
 
     head = model_mod.init_head(
-        frozen_model.joint_dim, num_task_classes, seed=cfg.seed, dtype=dtype
+        frozen_model.joint_dim, paired.num_classes, seed=cfg.seed, dtype=dtype
     )
     streams = RngStreams(cfg.seed)
     mb_rng = streams.get("minibatch")

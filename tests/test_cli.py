@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import feature_file_oracle
+import retrieval_oracle
 from cobra import checkpoint, cli, data, evaluation, model as model_mod, training
 from cobra.data import SyntheticSpec
 from cobra.losses import LossWeights
@@ -472,13 +473,60 @@ def test_eval_retrieval_records(run_dir, dataset, capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert re.match(r"direction=ITT map=\d\.\d{5} queries=\d+ excluded=\d+", lines[0])
-    assert re.match(r"direction=TTI map=\d\.\d{5} queries=\d+ excluded=\d+", lines[1])
+    assert re.fullmatch(r"direction=ITT map=\d\.\d{5} queries=\d+", lines[0])
+    assert re.fullmatch(r"direction=TTI map=\d\.\d{5} queries=\d+", lines[1])
     assert re.match(r"map_avg=\d\.\d{5}", lines[2])
     itt = float(lines[0].split()[1].split("=")[1])
     tti = float(lines[1].split()[1].split("=")[1])
     avg = float(lines[2].split("=")[1])
     assert avg == pytest.approx((itt + tti) / 2, abs=1e-4)
+
+
+def test_eval_retrieval_map_at_scores_every_query(tmp_path, capsys):
+    """mAP@k averages over every query, a query with no relevant item in its
+    top k scoring 0: on 40 test pairs after 2 epochs, no query is dropped
+    at k = 1 or 5, and each direction equals the per-query loop."""
+    ds, run = tmp_path / "ds", tmp_path / "run"
+    assert run_cli(
+        capsys, "synth", "--classes", "10", "--pairs-per-class", "40", "--sigma", "0.6",
+        "--split", "0.8,0.1,0.1", "--out", str(ds),
+    )[0] == 0
+    assert run_cli(
+        capsys, "train", "--manifest", str(ds / "train.manifest"),
+        "--val-manifest", str(ds / "val.manifest"), "--out", str(run), "--epochs", "2",
+    )[0] == 0
+    model = checkpoint.load_checkpoint(run / "final.ckpt")
+    paired = data.load_paired(ds / "test.manifest")
+    o_image = evaluation.embed_dataset(model, paired.image)
+    o_text = evaluation.embed_dataset(model, paired.text)
+    for k in (1, 5):
+        code, out, _ = run_cli(
+            capsys, "eval-retrieval", "--manifest", str(ds / "test.manifest"),
+            "--checkpoint", str(run / "final.ckpt"), "--map-at", str(k),
+        )
+        assert code == 0
+        maps = []
+        for line, (d, q, g) in zip(
+            out.splitlines(), [("ITT", o_image, o_text), ("TTI", o_text, o_image)]
+        ):
+            _, _, want = retrieval_oracle.map_from_embeddings(
+                q, g, paired.labels, paired.labels, zero_relevant="zero", map_at=k
+            )
+            assert line == f"direction={d} map={want:.5f} queries=40"
+            maps.append(want)
+        assert out.splitlines()[2] == f"map_avg={(maps[0] + maps[1]) / 2:.5f}"
+
+
+def test_zero_relevant_flag_is_gone(run_dir, dataset, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(
+            ["eval-retrieval", "--manifest", str(dataset / "test.manifest"),
+             "--checkpoint", str(run_dir / "final.ckpt"), "--zero-relevant", "zero"]
+        )
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--zero-relevant" in err
 
 
 @pytest.mark.parametrize("map_at", ["0", "-3"])

@@ -167,19 +167,19 @@ def test_float32_retrieval_matches_loop_oracle(seed, map_at):
     """A float32 model's similarities tie often; blocked retrieval still
     equals the per-query loop exactly, across three query blocks."""
     rng = np.random.default_rng(seed)
-    nq, ng, d, c = 2 * ROWS + 7, int(rng.integers(1, 120)), 3, 3
-    q, g = _tied_rows(rng, nq, d), _tied_rows(rng, ng, d)
-    ql, gl = rng.integers(0, c, nq), rng.integers(0, c, ng)
+    n, d, c = 2 * ROWS + 7, 3, 3
+    q, g = _tied_rows(rng, n, d), _tied_rows(rng, n, d)
+    labels = rng.integers(0, c, n)
     m = _identity_model(d, np.float32)
-    qs, gs = _raw_datasets(q, g, ql, gl)
-    with _rows_per_block(ROWS, ng):
-        frag = _unpaired_fragment(m, qs, gs, map_at=map_at)
+    qs, gs = _raw_datasets(q, g, labels)
+    with _rows_per_block(ROWS, n):
+        frag = _pair_fragment(m, qs, gs, map_at=map_at)
     q_emb, g_emb = evaluation.embed_dataset(m, qs), evaluation.embed_dataset(m, gs)
     assert q_emb.dtype == np.float32
-    aps, excluded, map_value = retrieval_oracle.map_from_embeddings(
-        q_emb, g_emb, ql, gl, map_at=map_at
+    aps, _, map_value = retrieval_oracle.map_from_embeddings(
+        q_emb, g_emb, labels, labels, zero_relevant="zero", map_at=map_at
     )
-    assert (frag.ap_per_query, frag.n_excluded, frag.map_value) == (aps, excluded, map_value)
+    assert (frag.ap_per_query, frag.n_queries, frag.map_value) == (aps, n, map_value)
 
 
 def test_float32_retrieval_over_2048_items_matches_both_oracles():
@@ -188,24 +188,24 @@ def test_float32_retrieval_over_2048_items_matches_both_oracles():
     still equals the pre-relevance-key block path and the per-query loop bit
     for bit, with and without map_at, at the production block size."""
     rng = np.random.default_rng(11)
-    nq, ng, d, c = 2 * ROWS + 7, 2600, 3, 4
-    q, g = np.round(2 * rng.normal(size=(nq, d))), np.round(2 * rng.normal(size=(ng, d)))
-    ql, gl = rng.integers(0, c, nq), rng.integers(0, c, ng)
+    n, d, c = 2600, 3, 4
+    q, g = np.round(2 * rng.normal(size=(n, d))), np.round(2 * rng.normal(size=(n, d)))
+    labels = rng.integers(0, c, n)
     m = _identity_model(d, np.float32)
-    qs, gs = _raw_datasets(q, g, ql, gl)
+    qs, gs = _raw_datasets(q, g, labels)
     q_emb, g_emb = evaluation.embed_dataset(m, qs), evaluation.embed_dataset(m, gs)
     sims = evaluation.similarity_matrix(q_emb, g_emb)
     assert sims.dtype == np.float32
     assert (np.diff(np.sort(sims, axis=1), axis=1) == 0).mean() > 0.5  # mostly ties
-    assert evaluation._BLOCK_SCORES // ng < nq  # more than one block
+    assert evaluation._BLOCK_SCORES // n < n  # more than one block
     for map_at in (None, 2100):
-        frag = _unpaired_fragment(m, qs, gs, map_at=map_at)
-        block_aps, found = retrieval_oracle.block_fragment_aps(q_emb, g_emb, ql, gl, map_at)
-        assert frag.ap_per_query == block_aps[found].tolist()
-        aps, excluded, map_value = retrieval_oracle.map_from_embeddings(
-            q_emb, g_emb, ql, gl, map_at=map_at
+        frag = _pair_fragment(m, qs, gs, map_at=map_at)
+        block_aps, _ = retrieval_oracle.block_fragment_aps(q_emb, g_emb, labels, labels, map_at)
+        assert frag.ap_per_query == block_aps.tolist()
+        aps, _, map_value = retrieval_oracle.map_from_embeddings(
+            q_emb, g_emb, labels, labels, zero_relevant="zero", map_at=map_at
         )
-        assert (frag.ap_per_query, frag.n_excluded, frag.map_value) == (aps, excluded, map_value)
+        assert (frag.ap_per_query, frag.n_queries, frag.map_value) == (aps, n, map_value)
 
 
 def test_average_precision_block_matches_per_row():
@@ -264,38 +264,26 @@ def _identity_model(d, dtype=np.float64):
     return m
 
 
-def _raw_datasets(q_emb, g_emb, q_labels, g_labels):
-    num_classes = int(max(q_labels.max(), g_labels.max())) + 1
-    qs = data.FeatureDataset("image", q_emb.astype(np.float32), q_labels, num_classes)
-    gs = data.FeatureDataset("text", g_emb.astype(np.float32), g_labels, num_classes)
+def _raw_datasets(q_emb, g_emb, labels):
+    """The image and text sides of pairs (q_emb[i], g_emb[i]) of class labels[i]."""
+    num_classes = int(labels.max()) + 1
+    qs = data.FeatureDataset("image", q_emb.astype(np.float32), labels, num_classes)
+    gs = data.FeatureDataset("text", g_emb.astype(np.float32), labels, num_classes)
     return qs, gs
 
 
-def _unpaired_fragment(m, qs, gs, zero_relevant="exclude", map_at=None):
-    """Scores a query set against a gallery that are not pairs, so a query
-    can have no relevant item without map_at, through the function that
-    scores each direction of retrieval_report."""
+def _pair_fragment(m, qs, gs, map_at=None):
+    """Scores the image sides of pairs as queries against their text sides,
+    through the function that scores each direction of retrieval_report."""
     return evaluation._fragment(
-        "ITT",
-        evaluation.embed_dataset(m, qs),
-        evaluation.embed_dataset(m, gs),
-        qs.labels,
-        gs.labels,
-        zero_relevant,
-        map_at,
+        "ITT", evaluation.embed_dataset(m, qs), evaluation.embed_dataset(m, gs), qs.labels, map_at
     )
-
-
-def _fragment_from_raw(q_emb, g_emb, q_labels, g_labels, **kw):
-    m = _identity_model(q_emb.shape[1])
-    qs, gs = _raw_datasets(q_emb, g_emb, q_labels, g_labels)
-    return _unpaired_fragment(m, qs, gs, **kw)
 
 
 def test_identity_model_preserves_embeddings():
     rng = np.random.default_rng(1)
     x = np.abs(rng.normal(size=(3, 4))).astype(np.float32) + 0.1
-    frag = _fragment_from_raw(x, x, np.arange(3), np.arange(3))
+    frag = _pair_fragment(_identity_model(4), *_raw_datasets(x, x, np.arange(3)))
     assert frag.map_value == pytest.approx(1.0)
 
 
@@ -358,41 +346,20 @@ def test_similarity_matrix_float32_rows_beyond_the_squares_range(s):
     assert np.array_equal(evaluation.similarity_matrix(g, g), unit @ unit.T)
 
 
-def test_map_excludes_queries_without_relevant():
-    rng = np.random.default_rng(2)
-    q = np.abs(rng.normal(size=(3, 3))) + 0.1
-    g = np.abs(rng.normal(size=(4, 3))) + 0.1
-    ql = np.array([0, 1, 2])  # class 2 absent from gallery
-    gl = np.array([0, 0, 1, 1])
-    frag = _fragment_from_raw(q, g, ql, gl)
-    assert frag.n_excluded == 1
-    assert frag.n_queries == 2
-
-
-def test_map_zero_relevant_mode_scores_zero():
-    rng = np.random.default_rng(3)
-    q = np.abs(rng.normal(size=(2, 3))) + 0.1
-    g = np.abs(rng.normal(size=(2, 3))) + 0.1
-    frag = _fragment_from_raw(
-        q, g, np.array([0, 1]), np.array([0, 0]), zero_relevant="zero"
-    )
-    assert frag.n_excluded == 0
-    assert frag.n_queries == 2
-
-
 def test_map_at_truncates_ranked_list():
-    rng = np.random.default_rng(4)
-    q = np.abs(rng.normal(size=(2, 3))) + 0.1
-    g = np.abs(rng.normal(size=(6, 3))) + 0.1
-    ql = np.array([0, 1])
-    gl = np.array([0, 0, 0, 1, 1, 1])
-    full = _fragment_from_raw(q, g, ql, gl)
-    trunc = _fragment_from_raw(q, g, ql, gl, map_at=2)
-    assert 0.0 <= trunc.map_value <= 1.0
-    assert full.n_queries == 2
+    """Each query's own pair ranks second, behind the other class's item: the
+    full list scores 1/2 per query, and mAP@1 scores both misses 0 and still
+    counts them."""
+    q = np.array([[1.0, 0.0], [0.0, 1.0]])
+    pairs = _raw_datasets(q, q[::-1], np.array([0, 1]))
+    m = _identity_model(2)
+    full = _pair_fragment(m, *pairs)
+    top1 = _pair_fragment(m, *pairs, map_at=1)
+    assert (full.ap_per_query, full.map_value, full.n_queries) == ([0.5, 0.5], 0.5, 2)
+    assert (top1.ap_per_query, top1.map_value, top1.n_queries) == ([0.0, 0.0], 0.0, 2)
 
 
-@pytest.mark.parametrize("kw", [{"map_at": 0}, {"map_at": -3}, {"zero_relevant": "skip"}])
+@pytest.mark.parametrize("kw", [{"map_at": 0}, {"map_at": -3}])
 def test_retrieval_rejects_invalid_options(kw):
     paired = tiny_paired(classes=3, per_class=4)
     m = tiny_model()
@@ -412,42 +379,31 @@ def _tied_rows(rng, n, d):
     return x
 
 
-@given(
-    seed=st.integers(0, 100_000),
-    zero_relevant=st.sampled_from(evaluation.ZERO_RELEVANT),
-    map_at=st.sampled_from([None, 1, 5, 10_000]),
-)
+@given(seed=st.integers(0, 100_000), map_at=st.sampled_from([None, 1, 5, 10_000]))
 @settings(max_examples=40, deadline=None)
-def test_retrieval_matches_loop_oracle(seed, zero_relevant, map_at):
-    """Unpaired sets scored by _fragment, and retrieval_report, equal the
-    per-query loop exactly, across more than one block of queries."""
+def test_retrieval_matches_loop_oracle(seed, map_at):
+    """Both directions of retrieval_report equal the per-query loop exactly,
+    a miss in the top map_at scoring 0, across more than one block of
+    queries."""
     rng = np.random.default_rng(seed)
-    nq = int(rng.choice([3, 40, 2 * ROWS + 7]))
-    ng = int(rng.integers(1, 120))
+    n = int(rng.choice([3, 40, 2 * ROWS + 7]))
     d, c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-    q, g = _tied_rows(rng, nq, d), _tied_rows(rng, ng, d)
-    ql, gl = rng.integers(0, c, nq), rng.integers(0, c, ng)
+    labels = rng.integers(0, c, n)
     m = _identity_model(d)
-    kw = dict(zero_relevant=zero_relevant, map_at=map_at)
 
     def check(frag, q_ds, g_ds):
-        aps, excluded, map_value = retrieval_oracle.map_from_embeddings(
+        aps, _, map_value = retrieval_oracle.map_from_embeddings(
             evaluation.embed_dataset(m, q_ds), evaluation.embed_dataset(m, g_ds),
-            q_ds.labels, g_ds.labels, **kw,
+            labels, labels, zero_relevant="zero", map_at=map_at,
         )
         assert frag.ap_per_query == aps
-        assert frag.n_excluded == excluded
-        assert frag.n_queries == len(aps)
+        assert frag.n_queries == n
         assert frag.map_value == map_value
 
-    qs, gs = _raw_datasets(q, g, ql, gl)
-    with _rows_per_block(ROWS, ng):
-        check(_unpaired_fragment(m, qs, gs, **kw), qs, gs)
-
-    image, text = _raw_datasets(q, _tied_rows(rng, nq, d), ql, ql)
+    image, text = _raw_datasets(_tied_rows(rng, n, d), _tied_rows(rng, n, d), labels)
     paired = data.PairedDataset(image=image, text=text)
-    with _rows_per_block(ROWS, nq):
-        report = evaluation.retrieval_report(m, paired, **kw)
+    with _rows_per_block(ROWS, n):
+        report = evaluation.retrieval_report(m, paired, map_at=map_at)
     check(report.fragments["ITT"], image, text)
     check(report.fragments["TTI"], text, image)
     assert report.map_avg == (report.map_itt + report.map_tti) / 2.0
@@ -462,11 +418,11 @@ def test_retrieval_on_two_threads_matches_both_oracles(monkeypatch, dtype, block
     block oracle and the per-query loop bit for bit, with and without
     map_at, also when the threads switch every microsecond."""
     rng = np.random.default_rng(blocks)
-    nq, ng, d, c = (blocks - 1) * ROWS + 7, 90, 3, 3
-    q, g = _tied_rows(rng, nq, d), _tied_rows(rng, ng, d)
-    ql, gl = rng.integers(0, c, nq), rng.integers(0, c, ng)
+    n, d, c = (blocks - 1) * ROWS + 7, 3, 3
+    q, g = _tied_rows(rng, n, d), _tied_rows(rng, n, d)
+    labels = rng.integers(0, c, n)
     m = _identity_model(d, dtype)
-    qs, gs = _raw_datasets(q, g, ql, gl)
+    qs, gs = _raw_datasets(q, g, labels)
     q_emb, g_emb = evaluation.embed_dataset(m, qs), evaluation.embed_dataset(m, gs)
     assert q_emb.dtype == dtype
     ranked_on = []
@@ -491,20 +447,20 @@ def test_retrieval_on_two_threads_matches_both_oracles(monkeypatch, dtype, block
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with _rows_per_block(ROWS, ng):
-                frag = _unpaired_fragment(m, qs, gs, map_at=map_at)
+            with _rows_per_block(ROWS, n):
+                frag = _pair_fragment(m, qs, gs, map_at=map_at)
         finally:
             sys.setswitchinterval(interval)
         assert len(ranked_on) == blocks
         assert pools == ([] if blocks == 1 else [{"max_workers": 1}])
         assert ranked_on.count(threading.get_ident()) == (blocks + 1) // 2
         assert len(set(ranked_on)) == min(blocks, 2)
-        block_aps, found = retrieval_oracle.block_fragment_aps(q_emb, g_emb, ql, gl, map_at)
-        assert frag.ap_per_query == block_aps[found].tolist()
-        aps, excluded, map_value = retrieval_oracle.map_from_embeddings(
-            q_emb, g_emb, ql, gl, map_at=map_at
+        block_aps, _ = retrieval_oracle.block_fragment_aps(q_emb, g_emb, labels, labels, map_at)
+        assert frag.ap_per_query == block_aps.tolist()
+        aps, _, map_value = retrieval_oracle.map_from_embeddings(
+            q_emb, g_emb, labels, labels, zero_relevant="zero", map_at=map_at
         )
-        assert (frag.ap_per_query, frag.n_excluded, frag.map_value) == (aps, excluded, map_value)
+        assert (frag.ap_per_query, frag.n_queries, frag.map_value) == (aps, n, map_value)
 
 
 class BlockFailed(Exception):
@@ -520,7 +476,7 @@ def test_retrieval_block_error_propagates_and_leaves_no_thread(monkeypatch, rais
     nq, d = 4 * ROWS + 7, 3  # five blocks per direction
     q, t = rng.normal(size=(nq, d)), rng.normal(size=(nq, d))
     labels = rng.integers(0, 3, nq)
-    image, text = _raw_datasets(q, t, labels, labels)
+    image, text = _raw_datasets(q, t, labels)
     paired = data.PairedDataset(image=image, text=text)
     caller = threading.get_ident()
     average_precision = evaluation.average_precision

@@ -166,19 +166,19 @@ def _labels_pool():
     return st.lists(st.integers(0, 3), min_size=2, max_size=12)
 
 
-@given(labels_i=_labels_pool(), labels_t=_labels_pool(), n_neg=st.integers(1, 6))
+@given(labels=_labels_pool(), n_neg=st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
-def test_sampled_sets_are_valid(labels_i, labels_t, n_neg):
-    labels_i, labels_t = np.array(labels_i), np.array(labels_t)
+def test_sampled_sets_are_valid(labels, n_neg):
+    labels = np.array(labels)
     rng = np.random.default_rng(7)
-    sets, skipped = sample_contrastive_sets(labels_i, labels_t, n_neg, rng)
-    lab = np.concatenate([labels_i, labels_t])
-    modality = np.arange(lab.size) >= labels_i.size
-    assert len(sets) + skipped == labels_i.size + labels_t.size
+    sets, skipped = sample_contrastive_sets(labels, n_neg, rng)
+    lab = np.concatenate([labels, labels])
+    modality = np.arange(lab.size) >= labels.size
+    assert len(sets) + skipped == 2 * labels.size
     # the loop oracle keeps exactly the same anchors
-    loop_sets, loop_skipped = oracle.sample_contrastive_sets(labels_i, labels_t, n_neg, rng)
+    loop_sets, loop_skipped = oracle.sample_contrastive_sets(labels, labels, n_neg, rng)
     assert skipped == loop_skipped
-    assert [cs.anchor for cs in oracle.as_refs(sets, labels_i.size)] == [
+    assert [cs.anchor for cs in oracle.as_refs(sets, labels.size)] == [
         cs.anchor for cs in loop_sets
     ]
     for a, p, negs in zip(sets.anchor, sets.positive, sets.negatives):
@@ -192,48 +192,42 @@ def test_sampled_sets_are_valid(labels_i, labels_t, n_neg):
 
 
 def test_sampling_draws_uniformly():
-    # image classes [0 0 0 1 1], text [0 1]: anchor 0 has positives {1, 2}
-    # and the negative pool {3, 4, 6}
-    li, lt = np.array([0, 0, 0, 1, 1]), np.array([0, 1])
+    # pair classes [0 0 0 1 1], stacked as image rows 0-4 and text rows 5-9:
+    # anchor 0 has positives {1, 2} and the negative pool {3, 4, 8, 9}
+    labels = np.array([0, 0, 0, 1, 1])
     rng = np.random.default_rng(3)
-    pos, neg = np.zeros(7), np.zeros(7)
+    pos, neg = np.zeros(10), np.zeros(10)
     draws = 6000
     for _ in range(draws):
-        sets, _ = sample_contrastive_sets(li, lt, 2, rng)
+        sets, _ = sample_contrastive_sets(labels, 2, rng)
         pos[sets.positive[0]] += 1
         np.add.at(neg, sets.negatives[0], 1)
     assert np.allclose(pos[[1, 2]] / draws, 1 / 2, atol=0.03)
-    assert np.allclose(neg[[3, 4, 6]] / draws, 2 / 3, atol=0.03)
+    assert np.allclose(neg[[3, 4, 8, 9]] / draws, 1 / 2, atol=0.03)
     assert pos.sum() == draws and neg.sum() == 2 * draws
 
 
 def test_sampling_skips_singleton_classes():
     # class 1 appears once per modality: no same-modality positive exists
-    sets, skipped = sample_contrastive_sets(
-        np.array([0, 0, 1]), np.array([0, 0, 1]), 2, np.random.default_rng(0)
-    )
+    sets, skipped = sample_contrastive_sets(np.array([0, 0, 1]), 2, np.random.default_rng(0))
     assert skipped == 2
     assert len(sets) == 4
 
 
 def test_sampling_single_class_batch_all_skipped():
-    sets, skipped = sample_contrastive_sets(
-        np.array([1, 1]), np.array([1, 1]), 3, np.random.default_rng(0)
-    )
+    sets, skipped = sample_contrastive_sets(np.array([1, 1]), 3, np.random.default_rng(0))
     assert len(sets) == 0 and skipped == 4
 
 
 def test_sampling_with_replacement_when_pool_small():
-    sets, _ = sample_contrastive_sets(
-        np.array([0, 0, 1]), np.array([0, 0, 1]), 10, np.random.default_rng(0)
-    )
+    sets, _ = sample_contrastive_sets(np.array([0, 0, 1]), 10, np.random.default_rng(0))
     assert sets.negatives.shape == (4, 10)
 
 
 def test_sampling_deterministic_per_seed():
-    li, lt = np.array([0, 1, 0, 1]), np.array([1, 0, 1, 0])
-    a, skip_a = sample_contrastive_sets(li, lt, 3, np.random.default_rng(11))
-    b, skip_b = sample_contrastive_sets(li, lt, 3, np.random.default_rng(11))
+    labels = np.array([0, 1, 0, 1])
+    a, skip_a = sample_contrastive_sets(labels, 3, np.random.default_rng(11))
+    b, skip_b = sample_contrastive_sets(labels, 3, np.random.default_rng(11))
     assert skip_a == skip_b
     for name in ("anchor", "positive", "negatives"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -241,7 +235,7 @@ def test_sampling_deterministic_per_seed():
 
 def test_sampling_rejects_zero_negatives():
     with pytest.raises(ConfigError):
-        sample_contrastive_sets(np.array([0]), np.array([0]), 0, np.random.default_rng(0))
+        sample_contrastive_sets(np.array([0]), 0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- setform
@@ -379,17 +373,17 @@ def test_nce_form_validation():
 
 @st.composite
 def _contrastive_batch(draw):
-    """Labels with singleton classes, single-class batches and negative pools
-    smaller than n_negatives, plus float64 embeddings for both modalities."""
+    """Pair labels with singleton classes, single-class batches and negative
+    pools smaller than n_negatives, plus float64 embeddings for both
+    modalities."""
     n_cls = draw(st.integers(1, 4))
-    labels = [
-        draw(hnp.arrays(np.int64, draw(st.integers(1, 7)), elements=st.integers(0, n_cls - 1)))
-        for _ in range(2)
-    ]
+    labels = draw(
+        hnp.arrays(np.int64, draw(st.integers(1, 7)), elements=st.integers(0, n_cls - 1))
+    )
     dim = draw(st.integers(1, 4))
     emb = [
-        draw(hnp.arrays(np.float64, (lab.size, dim), elements=st.floats(-2.0, 2.0)))
-        for lab in labels
+        draw(hnp.arrays(np.float64, (labels.size, dim), elements=st.floats(-2.0, 2.0)))
+        for _ in range(2)
     ]
     return labels, emb, draw(st.integers(1, 8)), draw(st.sampled_from([0.5, 1.0, 2.0]))
 
@@ -409,11 +403,12 @@ def _assert_matches_oracle(got, want):
     assert clamped == o_clamped
 
 
-# an embedding entry of 1e-5: the literal setform gradient of its row sums
-# terms near 1e5 to about 0.07, which the two orders round 2e-12 apart
+# embedding entries of 1e-5: the literal setform gradient of the text rows
+# sums terms near 3e4 to entries below 1, which the two orders round 1.2e-12
+# apart
 _NEAR_CLAMP = (
-    [np.array([1, 0]), np.zeros(7, dtype=np.int64)],
-    [np.array([[1.0], [0.0]]), np.array([[0.0], [1e-5], [0.0], [0.75], [0.0], [0.0], [0.0]])],
+    np.array([1, 0, 0, 0]),
+    [np.array([[0.0], [0.0], [1e-5], [1e-5]]), np.array([[0.75], [1e-5], [0.0], [1e-5]])],
     2,
     0.5,
 )
@@ -423,15 +418,13 @@ _NEAR_CLAMP = (
 @example(batch=_NEAR_CLAMP, seed=0)
 @settings(max_examples=80, deadline=None)
 def test_vectorised_losses_match_loop_oracle(batch, seed):
-    (labels_i, labels_t), (o_i, o_t), n_neg, tau = batch
-    sets, _ = sample_contrastive_sets(labels_i, labels_t, n_neg, np.random.default_rng(seed))
-    refs = oracle.as_refs(sets, labels_i.size)
+    labels, (o_i, o_t), n_neg, tau = batch
+    sets, _ = sample_contrastive_sets(labels, n_neg, np.random.default_rng(seed))
+    refs = oracle.as_refs(sets, labels.size)
     # two-anchor blocks run the multi-block path on these small batches
     for block in (losses._ANCHOR_BLOCK, 2):
         with mock.patch.object(losses, "_ANCHOR_BLOCK", block):
-            again, _ = sample_contrastive_sets(
-                labels_i, labels_t, n_neg, np.random.default_rng(seed)
-            )
+            again, _ = sample_contrastive_sets(labels, n_neg, np.random.default_rng(seed))
             for name in ("anchor", "positive", "negatives"):
                 assert np.array_equal(getattr(again, name), getattr(sets, name))
             for variant in CONTRASTIVE_VARIANTS:
@@ -445,9 +438,9 @@ def test_vectorised_losses_match_loop_oracle(batch, seed):
 def test_loop_oracle_comparison_catches_a_relative_gradient_error(variant):
     """A gradient 1e-9 off in relative terms fails the oracle comparison."""
     rng = np.random.default_rng(4)
-    labels_i, labels_t = np.array([0, 1, 2, 0, 1]), np.array([1, 2, 0, 0])
-    o_i, o_t = rng.uniform(0.5, 1.5, (5, 3)), rng.uniform(0.5, 1.5, (4, 3))
-    sets, _ = sample_contrastive_sets(labels_i, labels_t, 2, np.random.default_rng(0))
+    labels = np.array([0, 1, 2, 0, 1])
+    o_i, o_t = rng.uniform(0.5, 1.5, (5, 3)), rng.uniform(0.5, 1.5, (5, 3))
+    sets, _ = sample_contrastive_sets(labels, 2, np.random.default_rng(0))
     want = oracle.contrastive_loss(oracle.as_refs(sets, 5), o_i, o_t, variant, 0.5)
     value, g_i, g_t, clamped = contrastive_loss(
         sets, o_i, o_t, variant=variant, temperature=0.5
@@ -484,7 +477,7 @@ def test_total_loss_is_weighted_sum_of_components():
     y = np.array([0, 1, 2, 0])
     w = LossWeights(0.7, 1.3, 0.4, 0.2)
     cfg = TrainConfig(weights=w, n_negatives=2)
-    bd = total_loss(cache, y, y, cfg, np.random.default_rng(5))
+    bd = total_loss(cache, y, cfg, np.random.default_rng(5))
     assert bd.total == pytest.approx(
         0.7 * bd.l_r + 1.3 * bd.l_s + 0.4 * bd.l_m + 0.2 * bd.l_c, rel=1e-12
     )
@@ -498,8 +491,8 @@ def test_total_loss_gradients_linear_in_weights():
     # lambda_c ~ 0 but valid
     base = TrainConfig(weights=LossWeights(1.0, 0.0, 0.0, 1e-12), n_negatives=2)
     double = TrainConfig(weights=LossWeights(2.0, 0.0, 0.0, 1e-12), n_negatives=2)
-    bd1 = total_loss(cache, y, y, base, np.random.default_rng(5))
-    bd2 = total_loss(cache, y, y, double, np.random.default_rng(5))
+    bd1 = total_loss(cache, y, base, np.random.default_rng(5))
+    bd2 = total_loss(cache, y, double, np.random.default_rng(5))
     assert np.allclose(bd2.d_xhat_image, 2 * bd1.d_xhat_image, atol=1e-10)
     assert np.allclose(bd2.d_xhat_text, 2 * bd1.d_xhat_text, atol=1e-10)
 
@@ -511,10 +504,10 @@ def test_total_loss_grad_matches_finite_diff_float64():
 
     def value():
         cache = _forward(model)
-        return total_loss(cache, y, y, cfg, np.random.default_rng(99)).total
+        return total_loss(cache, y, cfg, np.random.default_rng(99)).total
 
     cache = _forward(model)
-    bd = total_loss(cache, y, y, cfg, np.random.default_rng(99))
+    bd = total_loss(cache, y, cfg, np.random.default_rng(99))
     model_mod.backward_full(
         model, cache, bd.d_o_image, bd.d_o_text, bd.d_xhat_image, bd.d_xhat_text
     )

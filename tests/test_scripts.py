@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -108,3 +109,24 @@ def test_bench_pairs_reports_identical_quality_per_metric(tmp_path):
     assert _bench_pairs(tmp_path, trees)["identical_quality"] == {
         "map_avg": True, "accuracy": False
     }
+
+
+def _report(map_avg, aps, **extra):
+    """A stand-in for a RetrievalReport: what `identical` reads of one, with
+    `extra` fields in each fragment."""
+    fields = {"ap_per_query": aps, "n_queries": len(aps), **extra}
+    fragments = {d: SimpleNamespace(**fields) for d in ("ITT", "TTI")}
+    return SimpleNamespace(map_avg=map_avg, fragments=fragments)
+
+
+def test_retrieval_identity_compares_what_both_trees_report(monkeypatch):
+    """An older tree's fragments carry n_excluded, a newer one's do not;
+    `identical` compares the per-query APs, n_queries and map_avg of both."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from retrieval_identity import identical
+
+    old = _report(0.5, [0.25, 0.75], n_excluded=0)
+    assert identical(old, _report(0.5, [0.25, 0.75]))
+    assert not identical(old, _report(0.5, [0.25, 0.75], n_queries=3))
+    assert not identical(old, _report(0.5, [0.75, 0.25]))
+    assert not identical(old, _report(0.625, [0.25, 0.75]))

@@ -72,14 +72,13 @@ def test_config_validation():
 
 def test_minibatch_shapes_and_alignment():
     paired = tiny_paired(classes=3, per_class=6)
-    x_i, y_i, x_t, y_t, idx = training.sample_minibatch(
-        paired, 6, np.random.default_rng(0)
-    )
+    x_i, x_t, y, idx = training.sample_minibatch(paired, 6, np.random.default_rng(0))
     assert x_i.shape == (6, paired.image.dim)
     assert x_t.shape == (6, paired.text.dim)
     # shared index list keeps rows paired
-    assert np.array_equal(y_i, y_t)
-    assert np.array_equal(y_i, paired.labels[idx])
+    assert np.array_equal(x_i, paired.image.features[idx])
+    assert np.array_equal(x_t, paired.text.features[idx])
+    assert np.array_equal(y, paired.labels[idx])
 
 
 def test_minibatch_without_replacement():
@@ -97,8 +96,8 @@ def test_minibatch_clips_with_warning(capsys):
 
 def test_minibatch_deterministic_per_seed():
     paired = tiny_paired(classes=3, per_class=6)
-    a = training.sample_minibatch(paired, 6, np.random.default_rng(9))[4]
-    b = training.sample_minibatch(paired, 6, np.random.default_rng(9))[4]
+    a = training.sample_minibatch(paired, 6, np.random.default_rng(9))[3]
+    b = training.sample_minibatch(paired, 6, np.random.default_rng(9))[3]
     assert np.array_equal(a, b)
 
 
@@ -366,11 +365,23 @@ def test_train_classifier_custom_task_labels():
     # binary relabelling independent of the pretraining classes
     task = (paired.labels >= 1).astype(np.int64)
     relabelled = data.PairedDataset(
-        image=dataclasses.replace(paired.image, labels=task),
-        text=dataclasses.replace(paired.text, labels=task),
+        image=dataclasses.replace(paired.image, labels=task, num_classes=2),
+        text=dataclasses.replace(paired.text, labels=task, num_classes=2),
     )
     head = training.train_classifier(m, relabelled, head_config=HeadConfig(epochs=1))
     assert head.num_classes == 2
+
+
+def test_train_classifier_head_width_is_the_class_count():
+    """A training set that lacks its highest class still gets one head
+    output per class, so the head can score every class of a test split."""
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    m = model_mod.init_model(6, 5, 3, seed=0)
+    two_classes = paired.subset(np.flatnonzero(paired.labels <= 1))
+    assert two_classes.num_classes == 3 and two_classes.labels.max() == 1
+    head = training.train_classifier(m, two_classes, head_config=HeadConfig(epochs=1))
+    widths = {p.name: p.value.shape[1] for p in head.params()}
+    assert widths["head.fc3.w"] == 3
 
 
 def test_train_classifier_clips_batch_with_one_warning(capsys):
