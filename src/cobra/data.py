@@ -13,7 +13,8 @@ Feature file format (UTF-8 text):
 
 Manifest format: line-based ``key=value`` with keys ``image_file``,
 ``text_file`` and ``name``; unknown keys are rejected. File paths are
-resolved relative to the manifest's directory.
+resolved relative to the manifest's directory. Row i of the image file pairs
+with row i of the text file, so both hold the same number of rows.
 
 Both parsers are total: they return valid data or raise FormatError, also
 for bytes that are not UTF-8.
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import nn
 from .errors import ConfigError, FormatError, LabelError, NumericError, PairingError
 
 MODALITIES = ("image", "text")
@@ -81,7 +83,9 @@ class PairedDataset:
                 f"class counts differ: {self.image.num_classes} vs {self.text.num_classes}"
             )
         if self.image.n != self.text.n:
-            raise PairingError(f"pair counts differ: {self.image.n} vs {self.text.n}")
+            raise PairingError(
+                f"pair counts differ: {self.image.n} image rows vs {self.text.n} text rows"
+            )
         mismatch = np.nonzero(self.image.labels != self.text.labels)[0]
         if mismatch.size:
             raise PairingError(f"pair labels differ at index {int(mismatch[0])}")
@@ -360,20 +364,6 @@ def _read_feature_file(path: Path) -> FeatureDataset:
     return FeatureDataset(modality, features, labels, c)
 
 
-def make_pairs(image_ds: FeatureDataset, text_ds: FeatureDataset) -> PairedDataset:
-    """Truncates both modalities to min(n_I, n_T) index-aligned pairs;
-    PairedDataset checks the class counts and pair labels."""
-    n = min(image_ds.n, text_ds.n)
-    return PairedDataset(
-        image=FeatureDataset(
-            "image", image_ds.features[:n], image_ds.labels[:n], image_ds.num_classes
-        ),
-        text=FeatureDataset(
-            "text", text_ds.features[:n], text_ds.labels[:n], text_ds.num_classes
-        ),
-    )
-
-
 @dataclass
 class SyntheticSpec:
     classes: int = 10
@@ -414,7 +404,7 @@ def generate_synthetic_debug(spec: SyntheticSpec) -> tuple[PairedDataset, Synthe
             f"feature dims ({spec.d_image}, {spec.d_text}) must be >= classes "
             f"({latent}) to keep the prototype separation realizable"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(9,)))
+    rng = nn.rng(spec.seed, "synthetic")
     prototypes = np.eye(latent) * (spec.separation / np.sqrt(2.0))
     map_image = rng.normal(0.0, 1.0 / np.sqrt(latent), size=(latent, spec.d_image))
     map_text = rng.normal(0.0, 1.0 / np.sqrt(latent), size=(latent, spec.d_text))
@@ -448,7 +438,7 @@ def split(paired: PairedDataset, fractions, seed: int):
     fractions = list(fractions)
     if not all(f > 0 for f in fractions) or sum(fractions) > 1.0 + 1e-9:  # NaN fails
         raise ConfigError(f"fractions must be positive and sum to <= 1, got {fractions}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(8,)))
+    rng = nn.rng(seed, "split")
     parts: list[list[int]] = [[] for _ in fractions]
     for cls in range(paired.num_classes):
         idx = np.nonzero(paired.labels == cls)[0]
@@ -503,9 +493,15 @@ def read_manifest(path) -> dict[str, str]:
 
 
 def load_paired(manifest_path) -> PairedDataset:
+    """Row i of the manifest's image file pairs with row i of its text file;
+    files that do not pair (row or class counts, or a label, differ) are a
+    PairingError naming the manifest."""
     manifest_path = Path(manifest_path)
     m = read_manifest(manifest_path)
     base = manifest_path.parent
     image_ds = load_feature_file(base / m["image_file"])
     text_ds = load_feature_file(base / m["text_file"])
-    return make_pairs(image_ds, text_ds)
+    try:
+        return PairedDataset(image_ds, text_ds)
+    except PairingError as e:
+        raise PairingError(f"{manifest_path}: {e}") from None

@@ -288,7 +288,7 @@ def build_head(dims: list[int], value) -> ClassifierHead:
 
 def _fresh_values(seed: int, dtype):
     """Glorot weights drawn in turn from the seed's init stream; zero biases."""
-    rng = nn.RngStreams(seed).get("init")
+    rng = nn.rng(seed, "init")
 
     def value(name: str, shape: tuple[int, int]) -> np.ndarray:
         if name.endswith(".b"):

@@ -1,4 +1,8 @@
-"""Minimal dense numeric engine: layer primitives, parameters, SGD, gradient oracle.
+"""Minimal dense numeric engine: layer primitives, parameters, SGD, gradient
+oracle, and the seeded random streams.
+
+Every generator the package draws from a seed is ``rng(seed, purpose)``,
+with the purpose's SeedSequence spawn key in ``STREAMS``.
 
 Matrices are 2-D numpy arrays. float32 is the training default; gradient
 checking requires float64 (finite differences are unreliable in 32-bit).
@@ -27,33 +31,26 @@ class Param:
         self.grad = np.zeros_like(self.value)
 
 
-class RngStreams:
-    """Seeded PCG64 generators, one independent stream per purpose.
+# The SeedSequence spawn key of each seeded stream. Streams with different
+# keys are independent, so e.g. changing how negatives are drawn never
+# perturbs initialisation; a key changed here changes every artefact.
+STREAMS = {
+    "init": (0,),
+    "minibatch": (1,),
+    "dropout": (2,),
+    "negatives": (3,),
+    "validation": (4, 0),
+    "split": (8,),
+    "synthetic": (9,),
+}
 
-    Streams are derived from the seed via numpy SeedSequence spawn keys, so
-    e.g. changing how negatives are sampled never perturbs initialization.
-    """
 
-    PURPOSES = ("init", "minibatch", "dropout", "negatives")
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gens = {
-            name: np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(i,))
-            )
-            for i, name in enumerate(self.PURPOSES)
-        }
-
-    def get(self, purpose: str) -> np.random.Generator:
-        return self._gens[purpose]
-
-    def derive(self, purpose_index: int) -> np.random.Generator:
-        """A fresh generator keyed off (seed, purpose); every call restarts the
-        same draws (e.g. the validation loss's contrastive sets)."""
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(purpose_index, 0))
-        )
+def rng(seed: int, purpose: str) -> np.random.Generator:
+    """A fresh PCG64 generator for `purpose` under `seed`: every call with the
+    same two arguments restarts the same draws."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=STREAMS[purpose])
+    )
 
 
 def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,7 +2,11 @@
 best-on-validation checkpointing, and second-stage classifier training.
 
 One index list is shared by both modalities, so every sampled row is a
-genuine pair.
+genuine pair. Each generator is ``nn.rng(seed, purpose)``: the model's
+minibatches, negatives and validation sets come from the "minibatch",
+"negatives" and "validation" streams of TrainConfig.seed, the head's
+minibatches and dropout from the "minibatch" and "dropout" streams of
+HeadConfig.seed.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .data import PairedDataset
 from .errors import ConfigError, NumericError
 from .losses import LossBreakdown, LossWeights, check_choice
 from .model import ClassifierHead, CobraModel
-from .nn import RngStreams, sgd_step
+from .nn import rng, sgd_step
 
 
 def _choice(default: str, choices: tuple):
@@ -63,6 +67,11 @@ class TrainConfig:
         for f in fields(self):
             if "choices" in f.metadata:
                 check_choice(f.name, getattr(self, f.name), f.metadata["choices"])
+        if self.contrastive_variant == "setform_literal" and self.temperature != 1.0:
+            raise ConfigError(
+                "contrastive_variant=setform_literal scores raw dot products and takes "
+                f"no temperature: temperature must be 1.0, got {self.temperature}"
+            )
 
 
 @dataclass
@@ -85,17 +94,6 @@ class EpochReport:
             f"skipped={self.skipped_anchors} secs={self.seconds:.6g} "
             f"val_total={self.val_total:.6g} clamped={self.clamped_scores}"
         )
-
-
-@dataclass
-class TrainState:
-    model: CobraModel
-    config: TrainConfig
-    streams: RngStreams
-    epoch: int = 0
-    best_val: float = np.inf
-    best_path: str | None = None
-    best_epoch: int | None = None
 
 
 @dataclass
@@ -123,37 +121,39 @@ def sample_minibatch(paired: PairedDataset, b: int, rng: np.random.Generator):
     return paired.image.features[idx], paired.text.features[idx], paired.labels[idx], idx
 
 
-def train_step(state: TrainState, minibatch) -> LossBreakdown:
-    """Forward, loss assembly, backward, SGD update. Halts on non-finite loss."""
+def train_step(
+    model: CobraModel, minibatch, cfg: TrainConfig, negatives_rng: np.random.Generator
+) -> LossBreakdown:
+    """Forward, loss assembly, backward, SGD update; the contrastive
+    negatives come from `negatives_rng`. Halts on non-finite loss."""
     x_i, x_t, y, _ = minibatch
-    cfg = state.config
-    dtype = state.model.dtype
-    cache = model_mod.forward_full(state.model, x_i.astype(dtype), x_t.astype(dtype))
-    bd = losses.total_loss(cache, y, cfg, state.streams.get("negatives"))
+    dtype = model.dtype
+    cache = model_mod.forward_full(
+        model, x_i.astype(dtype, copy=False), x_t.astype(dtype, copy=False)
+    )
+    bd = losses.total_loss(cache, y, cfg, negatives_rng)
     if not np.isfinite(bd.total):
         raise NumericError(
-            f"non-finite total loss at epoch {state.epoch} "
-            f"(l_r={bd.l_r} l_m={bd.l_m} l_s={bd.l_s} l_c={bd.l_c})"
+            f"non-finite total loss (l_r={bd.l_r} l_m={bd.l_m} l_s={bd.l_s} l_c={bd.l_c})"
         )
     model_mod.backward_full(
-        state.model, cache, bd.d_o_image, bd.d_o_text, bd.d_xhat_image, bd.d_xhat_text
+        model, cache, bd.d_o_image, bd.d_o_text, bd.d_xhat_image, bd.d_xhat_text
     )
-    sgd_step(state.model.params(), cfg.eta)
+    sgd_step(model.params(), cfg.eta)
     return bd
 
 
-def validation_loss(
-    model: CobraModel, paired: PairedDataset, cfg: TrainConfig, streams: RngStreams
-) -> float:
+def validation_loss(model: CobraModel, paired: PairedDataset, cfg: TrainConfig) -> float:
     """Total loss on the whole of `paired` in eval mode. Every call draws the
-    contrastive sets from the same run-constant generator key, so epochs are
+    contrastive sets afresh from the seed's validation stream, so epochs are
     compared on the same sets."""
     dtype = model.dtype
     cache = model_mod.forward_full(
-        model, paired.image.features.astype(dtype), paired.text.features.astype(dtype)
+        model,
+        paired.image.features.astype(dtype, copy=False),
+        paired.text.features.astype(dtype, copy=False),
     )
-    val_rng = streams.derive(4)
-    return losses.total_loss(cache, paired.labels, cfg, val_rng).total
+    return losses.total_loss(cache, paired.labels, cfg, rng(cfg.seed, "validation")).total
 
 
 def train(
@@ -167,10 +167,10 @@ def train(
     """Runs the full training loop; writes best.ckpt / final.ckpt when
     out_dir is given, emits one epoch record per epoch and then one record
     naming the epoch with the lowest validation loss. A non-finite training
-    or validation loss halts with a NumericError, after that epoch's record
-    when it is the validation loss. With no `val_pair` no validation loss is
-    computed: every val_total reads nan, no best.ckpt is written and
-    best_epoch is None."""
+    or validation loss halts with a NumericError naming its epoch, after
+    that epoch's record when it is the validation loss. With no `val_pair`
+    no validation loss is computed: every val_total reads nan, no best.ckpt
+    is written and best_epoch is None."""
     if val_pair is not None:
         if train_pair.num_classes != val_pair.num_classes:
             raise ConfigError("train and validation class counts differ")
@@ -180,14 +180,12 @@ def train(
         ):
             raise ConfigError("train and validation feature dims differ")
 
-    streams = RngStreams(config.seed)
     m = model_mod.init_model(
         train_pair.image.dim,
         train_pair.text.dim,
         train_pair.num_classes,
         seed=config.seed,
     )
-    state = TrainState(model=m, config=config, streams=streams)
     batch = _clip_batch(config.batch, train_pair.n_pairs)
     iters = config.iters_per_epoch or -(-train_pair.n_pairs // batch)
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -195,21 +193,24 @@ def train(
         out_dir.mkdir(parents=True, exist_ok=True)
 
     reports: list[EpochReport] = []
-    mb_rng = streams.get("minibatch")
+    mb_rng, neg_rng = rng(config.seed, "minibatch"), rng(config.seed, "negatives")
+    best_val, best_path, best_epoch = np.inf, None, None
     for epoch in range(1, config.epochs + 1):
-        state.epoch = epoch
         t0 = time.perf_counter()
         sums = np.zeros(5)
         skipped = clamped = 0
         for _ in range(iters):
             mb = sample_minibatch(train_pair, batch, mb_rng)
-            bd = train_step(state, mb)
+            try:
+                bd = train_step(m, mb, config, neg_rng)
+            except NumericError as e:
+                raise NumericError(f"{e} at epoch {epoch}") from None
             sums += (bd.l_r, bd.l_m, bd.l_s, bd.l_c, bd.total)
             skipped += bd.skipped_anchors
             clamped += bd.clamped_scores
         val_total = np.nan
         if val_pair is not None:
-            val_total = validation_loss(state.model, val_pair, config, streams)
+            val_total = validation_loss(m, val_pair, config)
         report = EpochReport(
             epoch=epoch,
             l_r=sums[0] / iters,
@@ -227,34 +228,29 @@ def train(
         if val_pair is not None and not np.isfinite(val_total):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
 
-        if val_total < state.best_val:
-            state.best_val = val_total
-            state.best_epoch = epoch
+        if val_total < best_val:
+            best_val, best_epoch = val_total, epoch
             if out_dir is not None:
-                state.best_path = str(out_dir / "best.ckpt")
-                save_checkpoint(state.model, state.best_path)
+                best_path = str(out_dir / "best.ckpt")
+                save_checkpoint(m, best_path)
         if (
             out_dir is not None
             and config.checkpoint_every
             and epoch % config.checkpoint_every == 0
         ):
-            save_checkpoint(state.model, out_dir / f"epoch{epoch:04d}.ckpt")
+            save_checkpoint(m, out_dir / f"epoch{epoch:04d}.ckpt")
 
     if out_dir is not None:
         final = out_dir / "final.ckpt"
-        if state.best_epoch == state.epoch:
+        if best_epoch == config.epochs:
             # the last epoch wrote best.ckpt: same parameters, same bytes
-            shutil.copyfile(state.best_path, final)
+            shutil.copyfile(best_path, final)
         else:
-            save_checkpoint(state.model, final)
-        if state.best_path is None:
-            state.best_path = str(final)
-    _emit(
-        f"best_epoch={state.best_epoch} best_val_total={state.best_val:.6g}",
-        echo,
-        log_stream,
-    )
-    return TrainResult(state.model, reports, state.best_path, state.best_epoch)
+            save_checkpoint(m, final)
+        if best_path is None:
+            best_path = str(final)
+    _emit(f"best_epoch={best_epoch} best_val_total={best_val:.6g}", echo, log_stream)
+    return TrainResult(m, reports, best_path, best_epoch)
 
 
 def _emit(line: str, echo: bool, log_stream):
@@ -349,9 +345,7 @@ def train_classifier(
     head = model_mod.init_head(
         frozen_model.joint_dim, paired.num_classes, seed=cfg.seed, dtype=dtype
     )
-    streams = RngStreams(cfg.seed)
-    mb_rng = streams.get("minibatch")
-    drop_rng = streams.get("dropout")
+    mb_rng, drop_rng = rng(cfg.seed, "minibatch"), rng(cfg.seed, "dropout")
     b = _clip_batch(HEAD_BATCH, paired.n_pairs)
     iters = -(-paired.n_pairs // b)
     for _ in range(cfg.epochs):

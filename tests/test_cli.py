@@ -175,6 +175,13 @@ def test_train_rejects_bad_config_value(dataset, tmp_path, capsys):
         pytest.param(["--eta", "inf"], None, "eta", id="eta_inf"),
         pytest.param(["--temperature", "inf"], None, "temperature", id="temp_inf"),
         pytest.param(["--lambda-c", "inf"], None, "lambda_c", id="lambda_c_inf"),
+        pytest.param(
+            ["--contrastive", "setform_literal", "--temperature", "0.25"],
+            None,
+            "setform_literal scores raw dot products and takes no temperature: "
+            "temperature must be 1.0, got 0.25",
+            id="setform_literal_temp",
+        ),
     ],
 )
 def test_train_rejects_invalid_setting_before_reading_data(
@@ -453,6 +460,25 @@ def test_synth_split_more_than_three_fractions_exit_2(tmp_path, capsys):
     assert code == 2
     assert "at most 3" in err
     assert not (tmp_path / "d" / "train.manifest").exists()
+
+
+def test_train_unpaired_manifest_exit_2(dataset, tmp_path, capsys):
+    """A text file with 5 rows fewer than its image file does not pair: the
+    error names the manifest and both counts, and nothing is trained."""
+    text = dataset / "train_text.txt"
+    header, *rows = text.read_text().splitlines()
+    fields = header.split()
+    n_image = int(fields[3])
+    fields[3] = str(n_image - 5)
+    text.write_text("\n".join([" ".join(fields), *rows[:-5]]) + "\n")
+    manifest = dataset / "train.manifest"
+    code, out, err = run_cli(
+        capsys, "train", "--manifest", str(manifest), "--out", str(tmp_path / "r")
+    )
+    assert code == 2
+    assert f"{manifest}: pair counts differ: {n_image} image rows vs {n_image - 5} text rows" in err
+    assert out == ""
+    assert not (tmp_path / "r").exists()
 
 
 def test_train_missing_manifest_exit_3(tmp_path, capsys):

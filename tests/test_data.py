@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,25 +246,38 @@ def test_load_rejects_wrong_field_count(tmp_path):
 # ---------------------------------------------------------------- pairing
 
 
-def test_make_pairs_truncates_to_min():
-    img = data.FeatureDataset("image", np.zeros((3, 2), np.float32), [0, 1, 0], 2)
-    txt = data.FeatureDataset("text", np.zeros((2, 2), np.float32), [0, 1], 2)
-    paired = data.make_pairs(img, txt)
-    assert paired.n_pairs == 2
+def _write_pair_files(tmp_path, image: data.FeatureDataset, text: data.FeatureDataset):
+    data.write_feature_file(image, tmp_path / "i.txt")
+    data.write_feature_file(text, tmp_path / "t.txt")
+    manifest = tmp_path / "m.manifest"
+    data.write_manifest(manifest, "i.txt", "t.txt", "m")
+    return manifest
 
 
-def test_make_pairs_rejects_label_conflict():
+def test_load_paired_rejects_label_conflict(tmp_path):
     img = data.FeatureDataset("image", np.zeros((2, 2), np.float32), [0, 1], 2)
     txt = data.FeatureDataset("text", np.zeros((2, 2), np.float32), [0, 0], 2)
-    with pytest.raises(PairingError, match="index 1"):
-        data.make_pairs(img, txt)
+    manifest = _write_pair_files(tmp_path, img, txt)
+    with pytest.raises(PairingError, match=f"^{re.escape(str(manifest))}: .*index 1"):
+        data.load_paired(manifest)
 
 
-def test_make_pairs_rejects_class_count_mismatch():
+def test_paired_dataset_rejects_class_count_mismatch():
     img = data.FeatureDataset("image", np.zeros((1, 2), np.float32), [0], 2)
     txt = data.FeatureDataset("text", np.zeros((1, 2), np.float32), [0], 3)
-    with pytest.raises(PairingError):
-        data.make_pairs(img, txt)
+    with pytest.raises(PairingError, match="class counts differ: 2 vs 3"):
+        data.PairedDataset(img, txt)
+
+
+def test_load_paired_rejects_row_count_mismatch(tmp_path):
+    """Row i of one file pairs with row i of the other: files of 3 and 2 rows
+    do not pair, and neither is cut to fit."""
+    img = data.FeatureDataset("image", np.zeros((3, 2), np.float32), [0, 1, 0], 2)
+    txt = data.FeatureDataset("text", np.zeros((2, 2), np.float32), [0, 1], 2)
+    manifest = _write_pair_files(tmp_path, img, txt)
+    with pytest.raises(PairingError, match="3 image rows vs 2 text rows") as info:
+        data.load_paired(manifest)
+    assert str(manifest) in str(info.value)
 
 
 # ---------------------------------------------------------------- synthetic

@@ -40,7 +40,7 @@ def test_init_draws_glorot_weights_in_params_order(dtype):
         model_mod.init_model(8, 6, 3, seed=7, dtype=dtype, hidden_dim=5, latent_dim=4),
         model_mod.init_head(3, 4, seed=7, dtype=dtype, hidden=(5, 4, 3)),
     ):
-        rng = nn.RngStreams(7).get("init")
+        rng = nn.rng(7, "init")
         for p in built.params():
             if p.name.endswith(".w"):
                 want = nn.glorot_uniform(rng, *p.value.shape, dtype)

@@ -260,10 +260,36 @@ def test_finite_diff_linear_sum():
 
 
 def test_rng_streams_deterministic_and_independent():
-    a = nn.RngStreams(42)
-    b = nn.RngStreams(42)
-    assert a.get("init").random(5).tolist() == b.get("init").random(5).tolist()
-    # consuming one stream leaves the others untouched
-    c = nn.RngStreams(42)
-    c.get("negatives").random(100)
-    assert np.array_equal(c.get("init").random(5), nn.RngStreams(42).get("init").random(5))
+    assert nn.rng(42, "init").random(5).tolist() == nn.rng(42, "init").random(5).tolist()
+    # each call starts afresh: consuming one generator advances no other
+    used = nn.rng(42, "negatives")
+    used.random(100)
+    assert np.array_equal(nn.rng(42, "negatives").random(5), nn.rng(42, "negatives").random(5))
+    # every purpose, and every seed, draws differently
+    firsts = [nn.rng(seed, purpose).random() for seed in (0, 42) for purpose in nn.STREAMS]
+    assert len(set(firsts)) == len(firsts)
+
+
+def _seed_layout(seed: int) -> dict:
+    """Each purpose's generator as the seed layout has always built it: the
+    spawn keys (0,)..(3,) of the purposes init, minibatch, dropout and
+    negatives in that order, (4, 0) for the validation sets, (8,) for the
+    stratified split and (9,) for the synthetic data."""
+
+    def keyed(spawn_key):
+        return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
+
+    layout = {p: keyed((i,)) for i, p in enumerate(("init", "minibatch", "dropout", "negatives"))}
+    layout.update(validation=keyed((4, 0)), split=keyed((8,)), synthetic=keyed((9,)))
+    return layout
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_seed_layout_is_unchanged(seed):
+    """Renumbering or reordering nn.STREAMS changes every artefact a seed
+    gives; each purpose draws what its historical key draws."""
+    layout = _seed_layout(seed)
+    assert sorted(nn.STREAMS) == sorted(layout)
+    for purpose, want in layout.items():
+        got = nn.rng(seed, purpose).bit_generator.random_raw(8)
+        assert got.tolist() == want.bit_generator.random_raw(8).tolist(), purpose

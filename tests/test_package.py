@@ -244,3 +244,52 @@ def test_unset_dataclass_field_rule_flags_only_unset_fields(tmp_path):
     assert _unset_dataclass_fields(package, scripts) == ["mod.Spec.c", "mod.Spec.f"]
     (scripts / "run.py").write_text("from pkg.mod import Spec\nSpec(0, f=1)\n", encoding="utf-8")
     assert _unset_dataclass_fields(package, scripts) == ["mod.Spec.c"]
+
+
+def _seed_sequence_uses(package: Path) -> list[str]:
+    """'module:line' of each name, attribute or import of SeedSequence in the
+    code of `package` (docstrings and comments aside), outside the body of
+    nn.rng."""
+    uses = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {
+            id(node)
+            for fn in tree.body
+            if path.stem == "nn" and isinstance(fn, ast.FunctionDef) and fn.name == "rng"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            named = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+            if named and getattr(node, named) == "SeedSequence" and id(node) not in exempt:
+                uses.append(f"{path.stem}:{node.lineno}")
+    return uses
+
+
+def test_every_seeded_stream_comes_from_nn_rng():
+    """The seed layout, which spawn key serves which purpose, is the one
+    table nn.STREAMS: only nn.rng builds a SeedSequence."""
+    uses = _seed_sequence_uses(PACKAGE)
+    assert not uses, f"SeedSequence outside nn.rng: {uses}"
+
+
+def test_seed_sequence_rule_flags_only_uses_outside_nn_rng(tmp_path):
+    (tmp_path / "nn.py").write_text(
+        "import numpy as np\n"
+        "\n"
+        "def rng(seed, purpose):\n"
+        "    return np.random.default_rng(np.random.SeedSequence(seed))\n"
+        "\n"
+        "def other(seed):\n"
+        "    return np.random.SeedSequence(seed)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "data.py").write_text(
+        '"""Streams are SeedSequence children."""\n'
+        "from numpy.random import SeedSequence\n"
+        "\n"
+        "def split(seed):\n"
+        "    return SeedSequence(seed)  # a SeedSequence\n",
+        encoding="utf-8",
+    )
+    assert _seed_sequence_uses(tmp_path) == ["data:2", "data:5", "nn:7"]

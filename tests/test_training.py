@@ -10,7 +10,6 @@ import train_step_oracle as oracle
 from cobra import checkpoint, data, losses, model as model_mod, nn, training
 from cobra.errors import ConfigError, NumericError
 from cobra.losses import LossWeights
-from cobra.nn import RngStreams
 from cobra.training import HeadConfig, TrainConfig, softmax_cross_entropy
 
 from conftest import tiny_paired
@@ -56,6 +55,11 @@ def test_config_validation():
         (TrainConfig, dict(temperature=float("inf")), "temperature"),
         (TrainConfig, dict(contrastive_variant="bogus"), "contrastive_variant"),
         (TrainConfig, dict(contrastive_variant="nce_log"), "contrastive_variant"),
+        (
+            TrainConfig,
+            dict(contrastive_variant="setform_literal", temperature=0.25),
+            "setform_literal .* temperature must be 1.0, got 0.25",
+        ),
         (LossWeights, dict(lambda_c=float("nan")), "nonnegative"),
         (LossWeights, dict(lambda_c=float("inf")), "lambda_c must be nonnegative and finite"),
         (LossWeights, dict(lambda_r=float("inf")), "lambda_r"),
@@ -67,6 +71,9 @@ def test_config_validation():
             cls(**kw)
     # the edges of each range are valid
     TrainConfig(iters_per_epoch=1, checkpoint_every=0, n_negatives=1)
+    TrainConfig(contrastive_variant="setform_literal", temperature=1.0)
+    for variant in ("nce", "nce_literal", "setform"):
+        TrainConfig(contrastive_variant=variant, temperature=0.25)
     HeadConfig(epochs=1, seed=0)
 
 
@@ -174,6 +181,25 @@ def test_train_halts_on_non_finite_validation_loss_at_first_epoch(tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_halts_on_non_finite_training_loss_naming_its_epoch(monkeypatch):
+    # two steps an epoch and no validation set: the fifth loss is epoch 3's first
+    total_loss, calls = losses.total_loss, []
+
+    def nan_at_fifth(*args):
+        calls.append(None)
+        bd = total_loss(*args)
+        return dataclasses.replace(bd, total=np.nan) if len(calls) == 5 else bd
+
+    monkeypatch.setattr(losses, "total_loss", nan_at_fifth)
+    paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
+    log = io.StringIO()
+    with pytest.raises(NumericError, match=r"^non-finite total loss \(l_r=.*\) at epoch 3$"):
+        training.train(
+            paired, None, small_config(epochs=4, iters_per_epoch=2), log_stream=log, echo=False
+        )
+    assert [line.split()[0] for line in log.getvalue().splitlines()] == ["epoch=1", "epoch=2"]
+
+
 def test_train_without_validation_set_trains_the_same_model(tmp_path, monkeypatch):
     """No validation set: no validation loss, val_total nan without a halt,
     no best.ckpt, and the final model bit-identical to a run with one."""
@@ -213,9 +239,8 @@ def test_validation_loss_scores_the_same_sets_every_call():
     paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
     cfg = small_config()
     m = model_mod.init_model(6, 5, 3, seed=0)
-    streams = RngStreams(cfg.seed)
-    first = training.validation_loss(m, paired, cfg, streams)
-    assert training.validation_loss(m, paired, cfg, streams) == first
+    first = training.validation_loss(m, paired, cfg)
+    assert training.validation_loss(m, paired, cfg) == first
 
 
 def test_training_reduces_reconstruction_loss():
@@ -241,12 +266,10 @@ def test_zero_eta_leaves_params_unchanged():
     cfg = small_config(epochs=1)
     cfg.eta = 0.0  # post-construction injection; the constructor rejects 0
     train_pair, val_pair = data.split(paired, [0.8, 0.2], seed=0)
-    streams = RngStreams(cfg.seed)
     m = model_mod.init_model(6, 5, 3, seed=cfg.seed)
     before = {p.name: p.value.copy() for p in m.params()}
-    state = training.TrainState(model=m, config=cfg, streams=streams)
-    mb = training.sample_minibatch(train_pair, cfg.batch, streams.get("minibatch"))
-    training.train_step(state, mb)
+    mb = training.sample_minibatch(train_pair, cfg.batch, nn.rng(cfg.seed, "minibatch"))
+    training.train_step(m, mb, cfg, nn.rng(cfg.seed, "negatives"))
     for p in m.params():
         assert np.array_equal(p.value, before[p.name])
 
@@ -258,12 +281,9 @@ def test_no_contrastive_variant_is_an_alias():
     trained = set()
     for variant in losses.CONTRASTIVE_VARIANTS:
         cfg = small_config(contrastive_variant=variant)
-        streams = RngStreams(cfg.seed)
         m = model_mod.init_model(6, 5, 3, seed=0)
-        state = training.TrainState(model=m, config=cfg, streams=streams)
-        training.train_step(
-            state, training.sample_minibatch(paired, cfg.batch, streams.get("minibatch"))
-        )
+        mb = training.sample_minibatch(paired, cfg.batch, nn.rng(cfg.seed, "minibatch"))
+        training.train_step(m, mb, cfg, nn.rng(cfg.seed, "negatives"))
         trained.add(b"".join(p.value.tobytes() for p in m.params()))
     assert len(trained) == len(losses.CONTRASTIVE_VARIANTS) == 4
 
@@ -428,13 +448,12 @@ def test_train_step_and_head_steps_match_oracle(monkeypatch, lambda_c):
 
     def run():
         cfg = small_config(weights=LossWeights(lambda_c=lambda_c))
-        streams = RngStreams(cfg.seed)
+        mb_rng, neg_rng = nn.rng(cfg.seed, "minibatch"), nn.rng(cfg.seed, "negatives")
         # hidden 260: the 260x260 weights span two sgd_step update chunks
         m = model_mod.init_model(6, 5, 3, seed=0, hidden_dim=260, latent_dim=32)
-        state = training.TrainState(model=m, config=cfg, streams=streams)
         for _ in range(3):
-            mb = training.sample_minibatch(paired, cfg.batch, streams.get("minibatch"))
-            training.train_step(state, mb)
+            mb = training.sample_minibatch(paired, cfg.batch, mb_rng)
+            training.train_step(m, mb, cfg, neg_rng)
         # 24 pairs at batch 8: one epoch is three head steps
         head = training.train_classifier(m, paired, head_config=HeadConfig(epochs=1))
         return [(p.name, p.value.copy(), p.grad.copy()) for p in m.params() + head.params()]
@@ -479,12 +498,11 @@ def test_summed_squared_errors_train_as_mean_with_scaled_settings(
 
     def run(eta, weights):
         cfg = small_config(eta=eta, batch=batch, weights=weights)
-        streams = RngStreams(cfg.seed)
+        mb_rng, neg_rng = nn.rng(cfg.seed, "minibatch"), nn.rng(cfg.seed, "negatives")
         m = model_mod.init_model(6, 5, 3, seed=0, dtype=np.float64)
-        state = training.TrainState(model=m, config=cfg, streams=streams)
         for _ in range(3):
-            mb = training.sample_minibatch(paired, cfg.batch, streams.get("minibatch"))
-            training.train_step(state, mb)
+            mb = training.sample_minibatch(paired, cfg.batch, mb_rng)
+            training.train_step(m, mb, cfg, neg_rng)
         return [p.value for p in m.params()]
 
     mean = run(eta * batch, LossWeights(lambda_r=2.0, lambda_c=lambda_c / batch))
