@@ -38,8 +38,8 @@ def _train_fields():
 
 
 def _setting(f) -> tuple:
-    """(default, type, choices) of a dataclass field; a None default is an int."""
-    return f.default, int if f.default is None else type(f.default), f.metadata.get("choices")
+    """(default, type, choices) of a dataclass field; its type is its default's."""
+    return f.default, type(f.default), f.metadata.get("choices")
 
 
 # key -> (default, type, choices); val_fraction is the CLI's own
@@ -47,7 +47,18 @@ TRAIN_SETTINGS = {_RENAMED.get(f.name, f.name): _setting(f) for f in _train_fiel
 TRAIN_SETTINGS["val_fraction"] = (0.1, float, None)
 SYNTH_SETTINGS = {f.name: _setting(f) for f in dc_fields(data.SyntheticSpec)}
 HEAD_SETTINGS = {f.name: _setting(f) for f in dc_fields(training.HeadConfig)}
-# keys of older run.logs -> (the contrastive family they applied to, their values)
+# retired keys of older run.logs -> (the one value every such log records, what
+# training does now); read at that value they are ignored
+_RETIRED = {
+    "reduction": (
+        "mean",
+        "the squared-error losses are means; reduction=sum trains as "
+        "eta x batch, lambda_r x 2, lambda_c / batch",
+    ),
+    "temperature": ("1.0", "contrastive scores are not rescaled, as at temperature 1.0"),
+    "iters_per_epoch": ("None", "an epoch is ceil(n_pairs / batch) steps"),
+}
+# retired keys of older run.logs -> (the contrastive family they applied to, their values)
 _RETIRED_FORMS = {
     "nce_form": ("nce", ("log", "literal")),
     "score_mode": ("setform", ("exp", "literal")),
@@ -60,9 +71,10 @@ def _progress(msg: str):
 
 def read_config_file(path) -> dict:
     """key=value settings; the `config` lines of a run.log, without the
-    prefix, read back as the same settings. An older run.log's nce_form or
-    score_mode of `literal` selects the literal form of its contrastive
-    family; for the other family it is ignored, as training ignored it."""
+    prefix, read back as the same settings. An older run.log's _RETIRED keys
+    are ignored at the value it records. Its nce_form or score_mode of
+    `literal` selects the literal form of its contrastive family; for the
+    other family it is ignored, as training ignored it."""
     out, literal = {}, set()
     for lineno, line in enumerate(data.read_text(path).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -70,11 +82,12 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise CobraError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "reduction":  # retired: older run.logs read mean, which is ignored
-            if value != "mean":
+        if key in _RETIRED:
+            recorded, now = _RETIRED[key]
+            if value != recorded:
                 raise CobraError(
-                    f"{path}:{lineno}: reduction is retired, the squared-error losses are "
-                    "means; reduction=sum trains as eta x batch, lambda_r x 2, lambda_c / batch"
+                    f"{path}:{lineno}: {key} is retired and reads only {key}={recorded}, "
+                    f"got {value!r}; {now}"
                 )
             continue
         if key in _RETIRED_FORMS:
@@ -89,10 +102,7 @@ def read_config_file(path) -> dict:
             continue
         if key not in TRAIN_SETTINGS:
             raise CobraError(f"{path}:{lineno}: unknown config key {key!r}")
-        default, kind, _ = TRAIN_SETTINGS[key]
-        if default is None and value == "None":  # as run.log records it
-            out[key] = None
-            continue
+        kind = TRAIN_SETTINGS[key][1]
         try:
             out[key] = kind(value)
         except ValueError:

@@ -364,6 +364,18 @@ def _read_feature_file(path: Path) -> FeatureDataset:
     return FeatureDataset(modality, features, labels, c)
 
 
+def check_ranges(cfg, positive=(), minimum=None):
+    """The range rule of every settings dataclass: each field named in
+    `positive` must be > 0 and finite (NaN is not); each key of `minimum`
+    must be at least its value."""
+    for name in positive:
+        if not 0 < getattr(cfg, name) < np.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {getattr(cfg, name)}")
+    for name, low in (minimum or {}).items():
+        if getattr(cfg, name) < low:
+            raise ConfigError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
+
+
 @dataclass
 class SyntheticSpec:
     classes: int = 10
@@ -375,14 +387,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ConfigError(f"classes must be >= 2, got {self.classes}")
-        if self.sigma <= 0 or self.separation <= 0:
-            raise ConfigError("sigma and separation must be positive")
-        if self.pairs_per_class < 1:
-            raise ConfigError("pairs_per_class must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_ranges(
+            self, ("sigma", "separation"), dict(classes=2, pairs_per_class=1, seed=0)
+        )
 
 
 @dataclass

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, model as model_mod
+from .errors import ConfigError
 from .losses import LossWeights
 from .nn import Param, affine_backward, affine_forward, finite_diff_grad, max_rel_err
 from .training import TrainConfig, softmax_cross_entropy
@@ -94,9 +95,7 @@ def _check_literal_contrastive(name: str, seed: int, variant: str) -> CheckResul
     sets, _ = losses.sample_contrastive_sets(y, 3, np.random.default_rng(12345))
 
     def loss():
-        return losses.contrastive_loss(
-            sets, o_i.value, o_t.value, variant=variant, temperature=1.0
-        )
+        return losses.contrastive_loss(sets, o_i.value, o_t.value, variant=variant)
 
     _, g_i, g_t, _ = loss()
     analytic = {"o_image": g_i, "o_text": g_t}
@@ -144,6 +143,8 @@ def _check_head(name: str, seed: int, dropout: bool) -> CheckResult:
 
 def run_gradcheck(seed: int = 0) -> list[CheckResult]:
     """Every loss component plus the layer primitives and classifier head."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     results = [_check_affine(seed)]
     for comp in ("r", "m", "s"):
         results.append(_check_model_loss(f"loss_{comp}", _component_config(comp), seed))

@@ -9,14 +9,17 @@ mean over drawn sets, is ``contrastive_loss`` with one of four variants
 
 * ``nce`` -- noise contrastive estimation with a uniform noise distribution
   over the minibatch pool. The joint density of a candidate given the anchor
-  is softmax(anchor . candidate / temperature) over all other rows of the
-  minibatch; the loss is the NCE log-likelihood.
+  is softmax(anchor . candidate) over all other rows of the minibatch; the
+  loss is the NCE log-likelihood.
 * ``nce_literal`` -- the same posteriors summed without the logs.
 * ``setform`` -- softmax contrast of an anchor against one positive and N
   negatives. The printed score is a raw dot product, which is ill-defined
   inside a log ratio for nonpositive scores, so this form exponentiates it
-  with a temperature (the standard InfoNCE form).
+  (the InfoNCE form of CPC).
 * ``setform_literal`` -- raw dot products, clamped below at 1e-12.
+
+Every variant scores at temperature 1, as CPC and NCE do: no score is
+rescaled before the softmax.
 """
 
 from __future__ import annotations
@@ -201,21 +204,19 @@ def _scatter(values, cols, n_cols: int) -> np.ndarray:
     return dense.astype(values.dtype, copy=False)
 
 
-def _setform_block(dots, anchor, cand, literal: bool, temperature: float):
+def _setform_block(dots, anchor, cand, literal: bool):
     """Set-form loss of one block: the positive's share among the scores of
-    {p, n_1..n_N}, exponentiated with a temperature or, literal, the raw dot
-    products clamped below at CLAMP_FLOOR."""
+    {p, n_1..n_N}, exponentiated or, literal, the raw dot products clamped
+    below at CLAMP_FLOOR."""
     raw = dots[np.arange(anchor.size)[:, None], cand]
     if not literal:
         # -log softmax weight of the positive among {p, n_1..n_N}
-        z = raw / temperature
-        m = z.max(axis=1, keepdims=True)
-        e = np.exp(z - m)
+        m = raw.max(axis=1, keepdims=True)
+        e = np.exp(raw - m)
         e_sum = e.sum(axis=1, keepdims=True)
-        value = float(np.sum(np.log(e_sum) + m - z[:, :1]))
+        value = float(np.sum(np.log(e_sum) + m - raw[:, :1]))
         d_raw = e / e_sum
         d_raw[:, 0] -= 1.0
-        d_raw /= temperature
         return value, _scatter(d_raw, cand, dots.shape[1]), 0
     low = raw < CLAMP_FLOOR
     u = np.maximum(raw, CLAMP_FLOOR)
@@ -227,17 +228,16 @@ def _setform_block(dots, anchor, cand, literal: bool, temperature: float):
     return value, _scatter(d_raw, cand, dots.shape[1]), int(low.sum())
 
 
-def _nce_block(dots, anchor, cand, literal: bool, temperature: float):
-    """NCE loss of one block. p_J(s|a) is softmax(a.s / temperature) over
-    every minibatch row except the anchor; p_N is uniform over that same
-    pool, with N = n_negatives noise samples. The log-likelihood form, or,
-    literal, the posteriors summed directly."""
+def _nce_block(dots, anchor, cand, literal: bool):
+    """NCE loss of one block. p_J(s|a) is softmax(a.s) over every minibatch
+    row except the anchor; p_N is uniform over that same pool, with
+    N = n_negatives noise samples. The log-likelihood form, or, literal, the
+    posteriors summed directly. Overwrites `dots`."""
     n_rows = dots.shape[1]
     base = (cand.shape[1] - 1) / (n_rows - 1)  # N * p_N
-    s = dots / temperature
-    s[np.arange(anchor.size), anchor] = -np.inf  # the anchor is not in its pool
-    s -= s.max(axis=1, keepdims=True)
-    pi = np.exp(s)
+    dots[np.arange(anchor.size), anchor] = -np.inf  # the anchor is not in its pool
+    dots -= dots.max(axis=1, keepdims=True)
+    pi = np.exp(dots)
     pi /= pi.sum(axis=1, keepdims=True)
     p = pi[np.arange(anchor.size)[:, None], cand]
     h = p / (p + base)  # posterior of the positive and each negative
@@ -254,14 +254,12 @@ def _nce_block(dots, anchor, cand, literal: bool, temperature: float):
     # softmax backward: d/ds_t = pi_t * (d_pi_t - sum_s d_pi_s pi_s)
     d_pi = _scatter(d_p, cand, n_rows)
     d_s = pi * (d_pi - np.sum(d_p * p, axis=1, keepdims=True))
-    return float(value), d_s / temperature, 0
+    return float(value), d_s, 0
 
 
-def contrastive_loss(
-    sets: ContrastiveSets, o_image, o_text, *, variant: str, temperature: float
-):
+def contrastive_loss(sets: ContrastiveSets, o_image, o_text, *, variant: str):
     """The contrastive loss `variant` (one of CONTRASTIVE_VARIANTS), mean
-    over sets.
+    over sets, on scores at temperature 1, as in CPC.
 
     Anchors are scored against every stacked [image; text] row, a block of
     anchors at a time, and the gradient flows back through the dot products.
@@ -270,8 +268,6 @@ def contrastive_loss(
     returns (summed set loss, gradient w.r.t. the dots, clamp count).
     Returns (value, grad_o_image, grad_o_text, clamp_count).
     """
-    if not 0 < temperature < np.inf:
-        raise ConfigError(f"temperature must be positive and finite, got {temperature}")
     check_choice("contrastive_variant", variant, CONTRASTIVE_VARIANTS)
     if len(sets) == 0:
         return 0.0, np.zeros_like(o_image), np.zeros_like(o_text), 0
@@ -285,7 +281,7 @@ def contrastive_loss(
         a = sets.anchor[lo : lo + _ANCHOR_BLOCK]
         x_a = x[a]
         value, d_dots, n_clamped = block_loss(
-            x_a @ x.T, a, cand[lo : lo + _ANCHOR_BLOCK], form == "literal", temperature
+            x_a @ x.T, a, cand[lo : lo + _ANCHOR_BLOCK], form == "literal"
         )
         total += value
         clamped += n_clamped
@@ -330,7 +326,7 @@ def total_loss(cache, labels, cfg: TrainConfig, rng: np.random.Generator) -> Los
     if weights.lambda_c > 0:
         sets, bd.skipped_anchors = sample_contrastive_sets(labels, cfg.n_negatives, rng)
         bd.l_c, g_ci, g_ct, bd.clamped_scores = contrastive_loss(
-            sets, img.o, txt.o, variant=cfg.contrastive_variant, temperature=cfg.temperature
+            sets, img.o, txt.o, variant=cfg.contrastive_variant
         )
         bd.d_o_image += weights.lambda_c * g_ci
         bd.d_o_text += weights.lambda_c * g_ct

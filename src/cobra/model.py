@@ -104,12 +104,12 @@ class ClassifierHead:
 
 @dataclass
 class MlpCache:
-    """Per-layer inputs and pre-activations of one MLP forward pass, and the
-    masks of its dropout layers. A dropout layer's pre-activation was
-    overwritten by its output; its backward reads the mask alone."""
+    """Per-layer inputs of one MLP forward pass, and the masks of its dropout
+    layers. A ReLU's backward reads its output, the next layer's input, which
+    is > 0 exactly where its pre-activation is; a dropout layer's reads the
+    mask alone."""
 
     inputs: list[np.ndarray]
-    pres: list[np.ndarray]
     output: np.ndarray
     masks: list[np.ndarray | None] = field(default_factory=list)
 
@@ -139,7 +139,7 @@ def _mlp_forward(
 ) -> MlpCache:
     """Forward through affine layers; ReLU after every layer but the last,
     the i-th fused with dropout of probability dropout_p[i] if given."""
-    inputs, pres, masks = [], [], []
+    inputs, masks = [], []
     h = x
     for i, (w, b) in enumerate(layers):
         inputs.append(h)
@@ -151,9 +151,8 @@ def _mlp_forward(
             h, mask = nn.relu_dropout(pre, dropout_p[i], rng)
         else:
             h = nn.relu(pre)
-        pres.append(pre)
         masks.append(mask)
-    return MlpCache(inputs=inputs, pres=pres, output=h, masks=masks)
+    return MlpCache(inputs=inputs, output=h, masks=masks)
 
 
 def _mlp_backward(cache: MlpCache, layers: list[Layer], d_out: np.ndarray) -> np.ndarray:
@@ -165,7 +164,7 @@ def _mlp_backward(cache: MlpCache, layers: list[Layer], d_out: np.ndarray) -> np
             if cache.masks[i] is not None:
                 d *= cache.masks[i]  # the ReLU's gradient and the dropout's
             else:
-                d = nn.relu_backward(cache.pres[i], d)
+                d = nn.relu_backward(cache.inputs[i + 1], d)
         d = nn.affine_backward(cache.inputs[i], w.value, d, w.grad, b.grad)
     return d
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data, evaluation, losses, model as model_mod
 from .checkpoint import save_checkpoint
-from .data import PairedDataset
+from .data import PairedDataset, check_ranges
 from .errors import ConfigError, NumericError
 from .losses import LossBreakdown, LossWeights, check_choice
 from .model import ClassifierHead, CobraModel
@@ -32,46 +32,27 @@ def _choice(default: str, choices: tuple):
     return field(default=default, metadata={"choices": choices})
 
 
-def _check_ranges(cfg, positive=(), minimum=None):
-    """Each field named in `positive` must be > 0 and finite (NaN is not);
-    each key of `minimum` must be at least its value."""
-    for name in positive:
-        if not 0 < getattr(cfg, name) < np.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {getattr(cfg, name)}")
-    for name, low in (minimum or {}).items():
-        if getattr(cfg, name) < low:
-            raise ConfigError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
-
-
 @dataclass
 class TrainConfig:
     """Every training setting, its default and its valid range. The CLI's
-    `train` flags and config-file keys are derived from these fields."""
+    `train` flags and config-file keys are derived from these fields. An
+    epoch is ceil(n_pairs / batch) steps."""
 
     eta: float = 0.01
     epochs: int = 200
     batch: int = 128
-    iters_per_epoch: int | None = None  # default: ceil(n_pairs / batch)
     weights: LossWeights = field(default_factory=LossWeights)
     n_negatives: int = 10
     contrastive_variant: str = _choice("nce", losses.CONTRASTIVE_VARIANTS)
-    temperature: float = 1.0
     seed: int = 0
     checkpoint_every: int = 0  # epochs; 0 disables periodic checkpoints
 
     def __post_init__(self):
         minimum = dict(epochs=1, batch=1, n_negatives=1, seed=0, checkpoint_every=0)
-        if self.iters_per_epoch is not None:
-            minimum["iters_per_epoch"] = 1
-        _check_ranges(self, ("eta", "temperature"), minimum)
+        check_ranges(self, ("eta",), minimum)
         for f in fields(self):
             if "choices" in f.metadata:
                 check_choice(f.name, getattr(self, f.name), f.metadata["choices"])
-        if self.contrastive_variant == "setform_literal" and self.temperature != 1.0:
-            raise ConfigError(
-                "contrastive_variant=setform_literal scores raw dot products and takes "
-                f"no temperature: temperature must be 1.0, got {self.temperature}"
-            )
 
 
 @dataclass
@@ -187,7 +168,7 @@ def train(
         seed=config.seed,
     )
     batch = _clip_batch(config.batch, train_pair.n_pairs)
-    iters = config.iters_per_epoch or -(-train_pair.n_pairs // batch)
+    iters = -(-train_pair.n_pairs // batch)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -312,7 +293,7 @@ class HeadConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_ranges(self, minimum=dict(epochs=1, seed=0))
+        check_ranges(self, minimum=dict(epochs=1, seed=0))
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):

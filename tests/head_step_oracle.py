@@ -12,6 +12,8 @@ the fused production step take this step's draws.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from cobra import model as model_mod, nn
@@ -30,7 +32,17 @@ def dropout(x: np.ndarray, p: float, rng: np.random.Generator):
     return x * mask, mask
 
 
-def classify_cached(head, o_text, o_image, rng=None) -> model_mod.MlpCache:
+@dataclass
+class HeadCache:
+    """Per-layer inputs, pre-activations and dropout masks of one forward."""
+
+    inputs: list[np.ndarray]
+    pres: list[np.ndarray]
+    output: np.ndarray
+    masks: list[np.ndarray | None]
+
+
+def classify_cached(head, o_text, o_image, rng=None) -> HeadCache:
     x = np.concatenate([o_text, o_image], axis=1)
     inputs, pres, masks = [], [], []
     h = x
@@ -46,10 +58,10 @@ def classify_cached(head, o_text, o_image, rng=None) -> model_mod.MlpCache:
         else:
             h = pre
         masks.append(mask)
-    return model_mod.MlpCache(inputs=inputs, pres=pres, output=h, masks=masks)
+    return HeadCache(inputs=inputs, pres=pres, output=h, masks=masks)
 
 
-def classify_backward(head, cache: model_mod.MlpCache, d_logits: np.ndarray):
+def classify_backward(head, cache: HeadCache, d_logits: np.ndarray):
     d = d_logits
     for i in range(len(head.layers) - 1, -1, -1):
         w, b = head.layers[i]

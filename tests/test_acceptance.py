@@ -90,9 +90,7 @@ def test_criterion_2_closed_form_identities(capsys):
     for n in (1, 5, 10):
         o = np.ones((n + 2, 3))
         cs = ContrastiveSets(np.array([0]), np.array([1]), np.array([2 + np.arange(n)]))
-        v, *_ = losses.contrastive_loss(
-            cs, o, np.ones((1, 3)), variant="setform", temperature=1.0
-        )
+        v, *_ = losses.contrastive_loss(cs, o, np.ones((1, 3)), variant="setform")
         ok &= abs(v - math.log(n + 1)) < 1e-10
     details.append("setform=log(N+1)")
 

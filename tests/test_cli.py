@@ -91,6 +91,21 @@ def test_synth_invalid_config_exit_2(tmp_path, capsys):
         assert "error" in err
 
 
+@pytest.mark.parametrize("key", ["sigma", "separation"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_non_finite_setting_exit_2_naming_it(tmp_path, capsys, monkeypatch, key, value):
+    generated = []
+    monkeypatch.setattr(cli.data, "generate_synthetic", generated.append)
+    code, out, err = run_cli(
+        capsys, "synth", f"--{key}", value, "--out", str(tmp_path / "d")
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{key} must be positive and finite, got {value}" in err
+    assert generated == []
+    assert not (tmp_path / "d").exists()
+
+
 def test_train_writes_run_log_and_checkpoints(run_dir):
     assert (run_dir / "final.ckpt").exists()
     assert (run_dir / "best.ckpt").exists()
@@ -159,29 +174,16 @@ def test_train_rejects_bad_config_value(dataset, tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, config, setting",
     [
-        pytest.param(["--iters-per-epoch", "-1"], None, "iters_per_epoch", id="iters-1"),
-        pytest.param(["--iters-per-epoch", "0"], None, "iters_per_epoch", id="iters0"),
         pytest.param(["--checkpoint-every", "-1"], None, "checkpoint_every", id="ckpt-1"),
         pytest.param([], "score_mode=bogus\n", "score_mode", id="score_mode_file"),
         pytest.param(
             [], "contrastive=bogus\nlambda_c=0\n", "contrastive", id="contrastive_file"
         ),
         pytest.param(["--negatives", "0", "--lambda-c", "0"], None, "negatives", id="neg0"),
-        pytest.param(
-            ["--temperature", "0", "--lambda-c", "0"], None, "temperature", id="temp0"
-        ),
         pytest.param(["--val-fraction", "1.5"], None, "val_fraction", id="val_fraction"),
         pytest.param(["--seed", "-1"], None, "seed", id="seed-1"),
         pytest.param(["--eta", "inf"], None, "eta", id="eta_inf"),
-        pytest.param(["--temperature", "inf"], None, "temperature", id="temp_inf"),
         pytest.param(["--lambda-c", "inf"], None, "lambda_c", id="lambda_c_inf"),
-        pytest.param(
-            ["--contrastive", "setform_literal", "--temperature", "0.25"],
-            None,
-            "setform_literal scores raw dot products and takes no temperature: "
-            "temperature must be 1.0, got 0.25",
-            id="setform_literal_temp",
-        ),
     ],
 )
 def test_train_rejects_invalid_setting_before_reading_data(
@@ -243,21 +245,23 @@ DEFAULT_CONFIG_LINES = [
     "config contrastive=nce",
     "config epochs=200",
     "config eta=0.01",
-    "config iters_per_epoch=None",
     "config lambda_c=0.1",
     "config lambda_m=1.0",
     "config lambda_r=1.0",
     "config lambda_s=1.0",
     "config negatives=10",
     "config seed=0",
-    "config temperature=1.0",
     "config val_fraction=0.1",
 ]
 
-# the same lines as every run.log written before `reduction`, `nce_form` and
-# `score_mode` were retired
+# the same lines as every run.log written before `temperature` and
+# `iters_per_epoch` were retired
+TEMPERATURE_DEFAULT_CONFIG_LINES = sorted(
+    DEFAULT_CONFIG_LINES + ["config iters_per_epoch=None", "config temperature=1.0"]
+)
+# and before `reduction`, `nce_form` and `score_mode` were retired
 OLD_DEFAULT_CONFIG_LINES = sorted(
-    DEFAULT_CONFIG_LINES
+    TEMPERATURE_DEFAULT_CONFIG_LINES
     + ["config reduction=mean", "config nce_form=log", "config score_mode=exp"]
 )
 
@@ -302,18 +306,17 @@ def test_train_settings_have_one_source(dataset, tmp_path, capsys, monkeypatch):
     assert config_keys == set(cli.TRAIN_SETTINGS)
 
     assert set(flags) == config_keys == log_keys == fields
-    assert len(fields) == 14
+    assert len(fields) == 12
 
 
 def test_run_log_config_lines_replay_as_config_file(dataset, tmp_path, capsys, monkeypatch):
     """The config lines of a default run, fed back through --config, give the
-    same config lines (iters_per_epoch=None included)."""
+    same config lines."""
     monkeypatch.setattr(cli.training, "train", lambda *args, **kwargs: None)
     first, second = tmp_path / "first", tmp_path / "second"
     manifest = str(dataset / "train.manifest")
     assert run_cli(capsys, "train", "--manifest", manifest, "--out", str(first))[0] == 0
     logged = _logged_config(first)
-    assert "config iters_per_epoch=None" in logged
     cfg = tmp_path / "replay.cfg"
     cfg.write_text("".join(l[len("config "):] + "\n" for l in logged))
     code, _, err = run_cli(
@@ -325,8 +328,8 @@ def test_run_log_config_lines_replay_as_config_file(dataset, tmp_path, capsys, m
 
 def test_old_run_log_config_lines_replay(dataset, tmp_path, capsys, monkeypatch):
     """A run.log from before `reduction`, `nce_form` and `score_mode` were
-    retired replays through --config; those three lines are dropped from the
-    new run.log."""
+    retired replays through --config; those three lines, and the retired
+    `temperature` and `iters_per_epoch`, are dropped from the new run.log."""
     monkeypatch.setattr(cli.training, "train", lambda *args, **kwargs: None)
     assert len(OLD_DEFAULT_CONFIG_LINES) == 17
     cfg = tmp_path / "old.cfg"
@@ -338,6 +341,47 @@ def test_old_run_log_config_lines_replay(dataset, tmp_path, capsys, monkeypatch)
     )
     assert code == 0, err
     assert _logged_config(out) == DEFAULT_CONFIG_LINES
+
+
+def test_run_log_with_temperature_and_iters_per_epoch_replays(
+    dataset, tmp_path, capsys, monkeypatch
+):
+    """A run.log from before `temperature` and `iters_per_epoch` were retired
+    replays through --config at the values it records; neither is logged
+    again."""
+    monkeypatch.setattr(cli.training, "train", lambda *args, **kwargs: None)
+    cfg = tmp_path / "older.cfg"
+    cfg.write_text("".join(l[len("config "):] + "\n" for l in TEMPERATURE_DEFAULT_CONFIG_LINES))
+    out = tmp_path / "r"
+    code, _, err = run_cli(
+        capsys, "train", "--manifest", str(dataset / "train.manifest"),
+        "--out", str(out), "--config", str(cfg),
+    )
+    assert code == 0, err
+    assert _logged_config(out) == DEFAULT_CONFIG_LINES
+
+
+@pytest.mark.parametrize(
+    "line, now",
+    [
+        ("temperature=0.5", "contrastive scores are not rescaled"),
+        ("iters_per_epoch=3", "an epoch is ceil(n_pairs / batch) steps"),
+    ],
+    ids=["temperature", "iters_per_epoch"],
+)
+def test_retired_setting_off_its_recorded_value_exits_2(dataset, tmp_path, capsys, line, now):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"eta=0.01\n{line}\n")
+    code, out, err = run_cli(
+        capsys, "train", "--manifest", str(dataset / "train.manifest"),
+        "--out", str(tmp_path / "r"), "--config", str(cfg),
+    )
+    key = line.split("=")[0]
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:2: {key} is retired" in err
+    assert now in err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("value", ["sum", "bogus"])
@@ -363,6 +407,18 @@ def test_reduction_flag_is_gone(dataset, tmp_path, capsys):
         )
     assert exit_info.value.code == 2
     assert "--reduction" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--temperature", "1.0"), ("--iters-per-epoch", "3")])
+def test_retired_setting_flags_are_gone(dataset, tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(
+            ["train", "--manifest", str(dataset / "train.manifest"),
+             "--out", str(tmp_path / "r"), flag, value]
+        )
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 
@@ -395,7 +451,7 @@ def test_retired_contrastive_forms_replay(
     assert code == 0, err
     logged = _logged_config(out)
     assert f"config contrastive={contrastive}" in logged
-    assert len(logged) == 14
+    assert len(logged) == 12
 
 
 @pytest.mark.parametrize("key, value", [("score_mode", "bogus"), ("nce_form", "exp")])
@@ -872,3 +928,11 @@ def test_gradcheck_fault_exit_1(monkeypatch, capsys):
     assert code == 1
     assert "check=loss_r " in out and "status=FAIL" in out
     assert "gradient check failed: " in err
+
+
+def test_gradcheck_negative_seed_exit_2(capsys):
+    """A bad seed is a config error, not a failed check (exit 1)."""
+    code, out, err = run_cli(capsys, "gradcheck", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "seed must be >= 0, got -1" in err

@@ -256,22 +256,20 @@ def _uniform_sets_case(n_neg):
 @pytest.mark.parametrize("n_neg", [1, 5, 10])
 def test_setform_uniform_scores_give_log_n_plus_one(n_neg):
     sets, o_i, o_t = _uniform_sets_case(n_neg)
-    value, *_ = contrastive_loss(sets, o_i, o_t, variant="setform", temperature=1.0)
+    value, *_ = contrastive_loss(sets, o_i, o_t, variant="setform")
     assert value == pytest.approx(math.log(n_neg + 1), abs=1e-10)
 
 
 def test_setform_literal_uniform_scores_same_identity():
     sets, o_i, o_t = _uniform_sets_case(4)
-    value, _, _, clamped = contrastive_loss(
-        sets, o_i, o_t, variant="setform_literal", temperature=1.0
-    )
+    value, _, _, clamped = contrastive_loss(sets, o_i, o_t, variant="setform_literal")
     assert value == pytest.approx(math.log(5), abs=1e-10)
     assert clamped == 0
 
 
 def test_setform_empty_sets_zero():
     value, g_i, g_t, clamped = contrastive_loss(
-        [], np.ones((2, 3)), np.ones((2, 3)), variant="setform", temperature=1.0
+        [], np.ones((2, 3)), np.ones((2, 3)), variant="setform"
     )
     assert value == 0.0 and not g_i.any() and not g_t.any() and clamped == 0
 
@@ -280,34 +278,17 @@ def test_setform_literal_counts_clamped_scores():
     o_i = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     cs = _one_set(0, 2, [1])
     # positive dot = 0 (clamped), negative dot = -1 (clamped)
-    _, _, _, clamped = contrastive_loss(
-        cs, o_i, np.ones((1, 2)), variant="setform_literal", temperature=1.0
-    )
+    _, _, _, clamped = contrastive_loss(cs, o_i, np.ones((1, 2)), variant="setform_literal")
     assert clamped == 2
 
 
 def test_setform_lower_when_positive_dominates():
     o_i = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
     cs = _one_set(0, 1, [2])
-    good, *_ = contrastive_loss(cs, o_i, np.ones((1, 2)), variant="setform", temperature=1.0)
+    good, *_ = contrastive_loss(cs, o_i, np.ones((1, 2)), variant="setform")
     bad_cs = _one_set(0, 2, [1])
-    bad, *_ = contrastive_loss(
-        bad_cs, o_i, np.ones((1, 2)), variant="setform", temperature=1.0
-    )
+    bad, *_ = contrastive_loss(bad_cs, o_i, np.ones((1, 2)), variant="setform")
     assert good < math.log(2) < bad
-
-
-def test_setform_temperature_validation():
-    for variant in CONTRASTIVE_VARIANTS:
-        for temperature in (0.0, -1.0, float("inf"), float("nan")):
-            with pytest.raises(ConfigError, match="temperature"):
-                contrastive_loss(
-                    [], np.ones((1, 1)), np.ones((1, 1)), variant=variant, temperature=temperature
-                )
-    with pytest.raises(ConfigError, match="contrastive_variant"):
-        contrastive_loss(
-            [], np.ones((1, 1)), np.ones((1, 1)), variant="bogus", temperature=1.0
-        )
 
 
 # ---------------------------------------------------------------- nce
@@ -336,7 +317,7 @@ def test_nce_loss_uniform_embeddings_closed_form():
     o_i = np.ones((n_neg + 2, 4))
     o_t = np.ones((1, 4))
     cs = _one_set(0, 1, [2 + k for k in range(n_neg)])
-    value, *_ = contrastive_loss(cs, o_i, o_t, variant="nce", temperature=1.0)
+    value, *_ = contrastive_loss(cs, o_i, o_t, variant="nce")
     h = 1.0 / (1 + n_neg)
     expected = -math.log(h) - n_neg * math.log(1 - h)
     assert value == pytest.approx(expected, abs=1e-10)
@@ -347,25 +328,23 @@ def test_nce_literal_uniform_embeddings_closed_form():
     o_i = np.ones((n_neg + 2, 4))
     o_t = np.ones((1, 4))
     cs = _one_set(0, 1, [2 + k for k in range(n_neg)])
-    value, *_ = contrastive_loss(cs, o_i, o_t, variant="nce_literal", temperature=1.0)
+    value, *_ = contrastive_loss(cs, o_i, o_t, variant="nce_literal")
     h = 1.0 / (1 + n_neg)
     assert value == pytest.approx(-h - n_neg * (1 - h), abs=1e-10)
 
 
 def test_nce_empty_sets_zero():
     value, g_i, g_t, clamped = contrastive_loss(
-        [], np.ones((2, 2)), np.ones((2, 2)), variant="nce", temperature=1.0
+        [], np.ones((2, 2)), np.ones((2, 2)), variant="nce"
     )
     assert value == 0.0 and not g_i.any() and not g_t.any() and clamped == 0
 
 
 def test_nce_form_validation():
     """The retired nce_form and score_mode values name no variant."""
-    for form in ("log", "exp", "literal", "nce_log", "setform_exp"):
+    for form in ("bogus", "log", "exp", "literal", "nce_log", "setform_exp"):
         with pytest.raises(ConfigError, match="contrastive_variant"):
-            contrastive_loss(
-                [], np.ones((1, 1)), np.ones((1, 1)), variant=form, temperature=1.0
-            )
+            contrastive_loss([], np.ones((1, 1)), np.ones((1, 1)), variant=form)
 
 
 # ---------------------------------------------------------------- loop oracle
@@ -385,7 +364,7 @@ def _contrastive_batch(draw):
         draw(hnp.arrays(np.float64, (labels.size, dim), elements=st.floats(-2.0, 2.0)))
         for _ in range(2)
     ]
-    return labels, emb, draw(st.integers(1, 8)), draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return labels, emb, draw(st.integers(1, 8))
 
 
 def _assert_matches_oracle(got, want):
@@ -410,7 +389,6 @@ _NEAR_CLAMP = (
     np.array([1, 0, 0, 0]),
     [np.array([[0.0], [0.0], [1e-5], [1e-5]]), np.array([[0.75], [1e-5], [0.0], [1e-5]])],
     2,
-    0.5,
 )
 
 
@@ -418,7 +396,7 @@ _NEAR_CLAMP = (
 @example(batch=_NEAR_CLAMP, seed=0)
 @settings(max_examples=80, deadline=None)
 def test_vectorised_losses_match_loop_oracle(batch, seed):
-    labels, (o_i, o_t), n_neg, tau = batch
+    labels, (o_i, o_t), n_neg = batch
     sets, _ = sample_contrastive_sets(labels, n_neg, np.random.default_rng(seed))
     refs = oracle.as_refs(sets, labels.size)
     # two-anchor blocks run the multi-block path on these small batches
@@ -429,8 +407,8 @@ def test_vectorised_losses_match_loop_oracle(batch, seed):
                 assert np.array_equal(getattr(again, name), getattr(sets, name))
             for variant in CONTRASTIVE_VARIANTS:
                 _assert_matches_oracle(
-                    contrastive_loss(sets, o_i, o_t, variant=variant, temperature=tau),
-                    oracle.contrastive_loss(refs, o_i, o_t, variant, tau),
+                    contrastive_loss(sets, o_i, o_t, variant=variant),
+                    oracle.contrastive_loss(refs, o_i, o_t, variant, 1.0),
                 )
 
 
@@ -441,10 +419,8 @@ def test_loop_oracle_comparison_catches_a_relative_gradient_error(variant):
     labels = np.array([0, 1, 2, 0, 1])
     o_i, o_t = rng.uniform(0.5, 1.5, (5, 3)), rng.uniform(0.5, 1.5, (5, 3))
     sets, _ = sample_contrastive_sets(labels, 2, np.random.default_rng(0))
-    want = oracle.contrastive_loss(oracle.as_refs(sets, 5), o_i, o_t, variant, 0.5)
-    value, g_i, g_t, clamped = contrastive_loss(
-        sets, o_i, o_t, variant=variant, temperature=0.5
-    )
+    want = oracle.contrastive_loss(oracle.as_refs(sets, 5), o_i, o_t, variant, 1.0)
+    value, g_i, g_t, clamped = contrastive_loss(sets, o_i, o_t, variant=variant)
     _assert_matches_oracle((value, g_i, g_t, clamped), want)
     for off in ((g_i * (1 + 1e-9), g_t), (g_i, g_t * (1 + 1e-9))):
         with pytest.raises(AssertionError):
