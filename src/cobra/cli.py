@@ -146,16 +146,7 @@ def _add_setting_flags(parser, settings: dict, with_defaults: bool):
 
 def cmd_synth(args) -> int:
     spec = data.SyntheticSpec(**{key: getattr(args, key) for key in SYNTH_SETTINGS})
-    paired = data.generate_synthetic(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def emit(name: str, ds: data.PairedDataset):
-        img, txt = f"{name}_image.txt", f"{name}_text.txt"
-        data.write_feature_file(ds.image, out / img)
-        data.write_feature_file(ds.text, out / txt)
-        data.write_manifest(out / f"{name}.manifest", img, txt, name)
-
+    names, fractions = ("data",), None
     if args.split:
         names = ("train", "val", "test")
         try:
@@ -166,10 +157,15 @@ def cmd_synth(args) -> int:
             raise CobraError(
                 f"--split takes at most {len(names)} fractions, got {len(fractions)}"
             )
-        for name, ds in zip(names, data.split(paired, fractions, args.seed)):
-            emit(name, ds)
-    else:
-        emit("data", paired)
+    paired = data.generate_synthetic(spec)
+    parts = data.split(paired, fractions, args.seed) if fractions else (paired,)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, ds in zip(names, parts):
+        img, txt = f"{name}_image.txt", f"{name}_text.txt"
+        data.write_feature_file(ds.image, out / img)
+        data.write_feature_file(ds.text, out / txt)
+        data.write_manifest(out / f"{name}.manifest", img, txt, name)
     print(
         f"synth classes={spec.classes} pairs={paired.n_pairs} "
         f"dI={spec.d_image} dT={spec.d_text}"

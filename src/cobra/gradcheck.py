@@ -18,13 +18,12 @@ from .training import TrainConfig, softmax_cross_entropy
 
 THRESHOLD = 1e-4
 EPSILON = 1e-5
-# The check of each contrastive variant, in run order. The default forms keep
-# their log/exp names; the literal ones are checked on the joint embeddings.
+# The check of each contrastive variant, in run order. The published forms
+# keep their log/exp names; the literal one is checked on the joint embeddings.
 CONTRASTIVE_CHECKS = {
     "setform": "loss_c_setform_exp",
     "nce": "loss_c_nce_log",
     "setform_literal": "loss_c_setform_literal",
-    "nce_literal": "loss_c_nce_literal",
 }
 
 
@@ -86,7 +85,7 @@ def _check_model_loss(name: str, cfg: TrainConfig, seed: int) -> CheckResult:
 
 
 def _check_literal_contrastive(name: str, seed: int, variant: str) -> CheckResult:
-    """A literal contrastive variant on joint embeddings drawn from the
+    """The literal contrastive variant on joint embeddings drawn from the
     positive orthant, so every dot product stays far above CLAMP_FLOOR."""
     rng = np.random.default_rng(seed)
     o_i = Param("o_image", rng.uniform(0.5, 1.5, size=(4, 3)))

@@ -4,14 +4,13 @@ Reconstruction, cross-modal alignment and supervised (one-hot regression)
 losses are squared errors, each divided by its row count: 2B for the
 reconstruction term (both modalities' rows), B for the other two, so the
 loss weights do not depend on the batch size B. The contrastive term, a
-mean over drawn sets, is ``contrastive_loss`` with one of four variants
+mean over drawn sets, is ``contrastive_loss`` with one of three variants
 (CONTRASTIVE_VARIANTS):
 
 * ``nce`` -- noise contrastive estimation with a uniform noise distribution
   over the minibatch pool. The joint density of a candidate given the anchor
   is softmax(anchor . candidate) over all other rows of the minibatch; the
   loss is the NCE log-likelihood.
-* ``nce_literal`` -- the same posteriors summed without the logs.
 * ``setform`` -- softmax contrast of an anchor against one positive and N
   negatives. The printed score is a raw dot product, which is ill-defined
   inside a log ratio for nonpositive scores, so this form exponentiates it
@@ -35,7 +34,6 @@ if TYPE_CHECKING:
     from .training import TrainConfig
 
 CLAMP_FLOOR = 1e-12
-CONTRASTIVE_VARIANTS = ("nce", "nce_literal", "setform", "setform_literal")
 
 
 def check_choice(name: str, value, choices: tuple):
@@ -204,20 +202,23 @@ def _scatter(values, cols, n_cols: int) -> np.ndarray:
     return dense.astype(values.dtype, copy=False)
 
 
-def _setform_block(dots, anchor, cand, literal: bool):
-    """Set-form loss of one block: the positive's share among the scores of
-    {p, n_1..n_N}, exponentiated or, literal, the raw dot products clamped
-    below at CLAMP_FLOOR."""
+def _setform_block(dots, anchor, cand):
+    """Set-form loss of one block: -log softmax weight of the positive among
+    the scores of {p, n_1..n_N}."""
     raw = dots[np.arange(anchor.size)[:, None], cand]
-    if not literal:
-        # -log softmax weight of the positive among {p, n_1..n_N}
-        m = raw.max(axis=1, keepdims=True)
-        e = np.exp(raw - m)
-        e_sum = e.sum(axis=1, keepdims=True)
-        value = float(np.sum(np.log(e_sum) + m - raw[:, :1]))
-        d_raw = e / e_sum
-        d_raw[:, 0] -= 1.0
-        return value, _scatter(d_raw, cand, dots.shape[1]), 0
+    m = raw.max(axis=1, keepdims=True)
+    e = np.exp(raw - m)
+    e_sum = e.sum(axis=1, keepdims=True)
+    value = float(np.sum(np.log(e_sum) + m - raw[:, :1]))
+    d_raw = e / e_sum
+    d_raw[:, 0] -= 1.0
+    return value, _scatter(d_raw, cand, dots.shape[1]), 0
+
+
+def _setform_literal_block(dots, anchor, cand):
+    """Set-form loss of one block on the raw dot products, clamped below at
+    CLAMP_FLOOR; counts the clamped scores."""
+    raw = dots[np.arange(anchor.size)[:, None], cand]
     low = raw < CLAMP_FLOOR
     u = np.maximum(raw, CLAMP_FLOOR)
     denom = u.sum(axis=1, keepdims=True)
@@ -228,11 +229,10 @@ def _setform_block(dots, anchor, cand, literal: bool):
     return value, _scatter(d_raw, cand, dots.shape[1]), int(low.sum())
 
 
-def _nce_block(dots, anchor, cand, literal: bool):
-    """NCE loss of one block. p_J(s|a) is softmax(a.s) over every minibatch
-    row except the anchor; p_N is uniform over that same pool, with
-    N = n_negatives noise samples. The log-likelihood form, or, literal, the
-    posteriors summed directly. Overwrites `dots`."""
+def _nce_block(dots, anchor, cand):
+    """NCE log-likelihood loss of one block. p_J(s|a) is softmax(a.s) over
+    every minibatch row except the anchor; p_N is uniform over that same
+    pool, with N = n_negatives noise samples. Overwrites `dots`."""
     n_rows = dots.shape[1]
     base = (cand.shape[1] - 1) / (n_rows - 1)  # N * p_N
     dots[np.arange(anchor.size), anchor] = -np.inf  # the anchor is not in its pool
@@ -241,20 +241,22 @@ def _nce_block(dots, anchor, cand, literal: bool):
     pi /= pi.sum(axis=1, keepdims=True)
     p = pi[np.arange(anchor.size)[:, None], cand]
     h = p / (p + base)  # posterior of the positive and each negative
-    # d h / d pi = h (1 - h) / pi = base / (pi + base)^2; the latter form
-    # stays finite when pi underflows to 0
-    if not literal:
-        value = -np.sum(np.log(h[:, 0])) - np.sum(np.log1p(-h[:, 1:]))
-        d_p = 1.0 / (p + base)
-        d_p[:, 0] = -base / (p[:, 0] * (p[:, 0] + base))
-    else:
-        value = -np.sum(h[:, 0]) - np.sum(1.0 - h[:, 1:])
-        d_p = base / (p + base) ** 2
-        d_p[:, 0] *= -1.0
+    value = -np.sum(np.log(h[:, 0])) - np.sum(np.log1p(-h[:, 1:]))
+    # d/dp of -log h (the positive) and of -log(1 - h) (each negative)
+    d_p = 1.0 / (p + base)
+    d_p[:, 0] = -base / (p[:, 0] * (p[:, 0] + base))
     # softmax backward: d/ds_t = pi_t * (d_pi_t - sum_s d_pi_s pi_s)
     d_pi = _scatter(d_p, cand, n_rows)
     d_s = pi * (d_pi - np.sum(d_p * p, axis=1, keepdims=True))
     return float(value), d_s, 0
+
+
+# variant -> block function. A block function gets a block's dot products
+# with every row (B, rows), its anchor rows (B,) and candidate rows (B, N+1;
+# the positive first), and returns (summed set loss, gradient w.r.t. the
+# dots, clamp count).
+_BLOCKS = {"nce": _nce_block, "setform": _setform_block, "setform_literal": _setform_literal_block}
+CONTRASTIVE_VARIANTS = tuple(_BLOCKS)
 
 
 def contrastive_loss(sets: ContrastiveSets, o_image, o_text, *, variant: str):
@@ -262,17 +264,14 @@ def contrastive_loss(sets: ContrastiveSets, o_image, o_text, *, variant: str):
     over sets, on scores at temperature 1, as in CPC.
 
     Anchors are scored against every stacked [image; text] row, a block of
-    anchors at a time, and the gradient flows back through the dot products.
-    A block function gets a block's dot products with every row (B, rows),
-    its anchor rows (B,) and candidate rows (B, N+1; the positive first), and
-    returns (summed set loss, gradient w.r.t. the dots, clamp count).
+    anchors at a time, by the variant's block function in _BLOCKS, and the
+    gradient flows back through the dot products.
     Returns (value, grad_o_image, grad_o_text, clamp_count).
     """
     check_choice("contrastive_variant", variant, CONTRASTIVE_VARIANTS)
     if len(sets) == 0:
         return 0.0, np.zeros_like(o_image), np.zeros_like(o_text), 0
-    family, _, form = variant.partition("_")
-    block_loss = _nce_block if family == "nce" else _setform_block
+    block_loss = _BLOCKS[variant]
     x = np.concatenate([o_image, o_text], axis=0)
     d_x = np.zeros_like(x)
     cand = np.column_stack([sets.positive, sets.negatives])
@@ -280,9 +279,7 @@ def contrastive_loss(sets: ContrastiveSets, o_image, o_text, *, variant: str):
     for lo in range(0, len(sets), _ANCHOR_BLOCK):
         a = sets.anchor[lo : lo + _ANCHOR_BLOCK]
         x_a = x[a]
-        value, d_dots, n_clamped = block_loss(
-            x_a @ x.T, a, cand[lo : lo + _ANCHOR_BLOCK], form == "literal"
-        )
+        value, d_dots, n_clamped = block_loss(x_a @ x.T, a, cand[lo : lo + _ANCHOR_BLOCK])
         total += value
         clamped += n_clamped
         d_x += d_dots.T @ x_a

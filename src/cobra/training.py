@@ -148,10 +148,11 @@ def train(
     """Runs the full training loop; writes best.ckpt / final.ckpt when
     out_dir is given, emits one epoch record per epoch and then one record
     naming the epoch with the lowest validation loss. A non-finite training
-    or validation loss halts with a NumericError naming its epoch, after
-    that epoch's record when it is the validation loss. With no `val_pair`
-    no validation loss is computed: every val_total reads nan, no best.ckpt
-    is written and best_epoch is None."""
+    loss or gradient, or validation loss, halts with a NumericError naming
+    its epoch, after a `halt=train` or `halt=validation` record naming the
+    epoch and step; a validation halt comes after that epoch's record. With
+    no `val_pair` no validation loss is computed: every val_total reads nan,
+    no best.ckpt is written and best_epoch is None."""
     if val_pair is not None:
         if train_pair.num_classes != val_pair.num_classes:
             raise ConfigError("train and validation class counts differ")
@@ -180,11 +181,12 @@ def train(
         t0 = time.perf_counter()
         sums = np.zeros(5)
         skipped = clamped = 0
-        for _ in range(iters):
+        for step in range(1, iters + 1):
             mb = sample_minibatch(train_pair, batch, mb_rng)
             try:
                 bd = train_step(m, mb, config, neg_rng)
             except NumericError as e:
+                _emit(f"halt=train epoch={epoch} step={step}", echo, log_stream)
                 raise NumericError(f"{e} at epoch {epoch}") from None
             sums += (bd.l_r, bd.l_m, bd.l_s, bd.l_c, bd.total)
             skipped += bd.skipped_anchors
@@ -207,6 +209,7 @@ def train(
         reports.append(report)
         _emit(report.record(), echo, log_stream)
         if val_pair is not None and not np.isfinite(val_total):
+            _emit(f"halt=validation epoch={epoch} step={iters}", echo, log_stream)
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
 
         if val_total < best_val:

@@ -1,4 +1,4 @@
-"""Per-anchor loop implementation of contrastive sampling and of the four
+"""Per-anchor loop implementation of contrastive sampling and of the three
 contrastive loss variants: the reference the vectorised code in
 ``cobra.losses`` is tested against. Sets here are lists of ``ContrastiveSet``
 whose rows are ``(modality, index)`` references; ``as_refs`` converts the
@@ -121,21 +121,20 @@ class _GradSink:
         )
 
 
-def contrastive_loss(
-    sets: list[ContrastiveSet], o_image, o_text, variant: str, temperature: float
-):
+def contrastive_loss(sets: list[ContrastiveSet], o_image, o_text, variant: str):
     """The contrastive loss `variant`, mean over sets, one set at a time.
 
     Returns ((value, grad_o_image, grad_o_text, clamp_count), (bound_image,
     bound_text)): the bounds hold, per gradient entry, the summed absolute
     values of the terms that make it up.
     """
-    family, _, form = variant.partition("_")
-    loss = _nce if family == "nce" else _setform
     sink = _GradSink(o_image, o_text)
     total, clamped = 0.0, 0
     for cs in sets:
-        value, n_clamped = loss(cs, o_image, o_text, sink, form == "literal", temperature)
+        if variant == "nce":
+            value, n_clamped = _nce(cs, o_image, o_text, sink)
+        else:
+            value, n_clamped = _setform(cs, o_image, o_text, sink, variant == "setform_literal")
         total += value / len(sets)
         clamped += n_clamped
     if sets:
@@ -144,7 +143,7 @@ def contrastive_loss(
     return sink.result(total, clamped)
 
 
-def _setform(cs, o_image, o_text, sink, literal: bool, temperature: float):
+def _setform(cs, o_image, o_text, sink, literal: bool):
     """One set's setform loss; its gradient goes to `sink`."""
     a = _gather(o_image, o_text, cs.anchor)
     others = [cs.positive] + cs.negatives
@@ -154,13 +153,13 @@ def _setform(cs, o_image, o_text, sink, literal: bool, temperature: float):
     clamped = 0
     if not literal:
         # -log softmax weight of the positive among {p, n_1..n_N}
-        dots = vecs @ a / temperature
+        dots = vecs @ a
         m = dots.max()
         e = np.exp(dots - m)
         q = e / e.sum()
         value = float(np.log(e.sum()) + m - dots[0])
-        d_dots = (q - first) / temperature
-        d_size = (q + first) / temperature
+        d_dots = q - first
+        d_size = q + first
     else:
         raw = vecs @ a
         clamped = int(np.sum(raw < CLAMP_FLOOR))
@@ -177,8 +176,8 @@ def _setform(cs, o_image, o_text, sink, literal: bool, temperature: float):
     return value, clamped
 
 
-def _nce(cs, o_image, o_text, sink, literal: bool, temperature: float):
-    """One set's NCE loss against the whole minibatch pool but the anchor;
+def _nce(cs, o_image, o_text, sink):
+    """One set's NCE log-likelihood loss against the whole minibatch pool but the anchor;
     its gradient goes to `sink`."""
     rows = [("image", i) for i in range(o_image.shape[0])]
     rows += [("text", i) for i in range(o_text.shape[0])]
@@ -187,7 +186,7 @@ def _nce(cs, o_image, o_text, sink, literal: bool, temperature: float):
     vecs = np.stack([_gather(o_image, o_text, r) for r in pool])
     nm = NoiseModel(n_noise=len(cs.negatives), noise_density=1.0 / len(pool))
 
-    scores = vecs @ a / temperature
+    scores = vecs @ a
     e = np.exp(scores - scores.max())
     pi = e / e.sum()  # p_J(s|a) over the pool
     base = nm.n_noise * nm.noise_density
@@ -195,24 +194,16 @@ def _nce(cs, o_image, o_text, sink, literal: bool, temperature: float):
 
     d_pi = np.zeros_like(pi)
     k = pool.index(cs.positive)
-    if not literal:
-        value = -np.log(h[k])
-        d_pi[k] += -base / (pi[k] * (pi[k] + base))
-    else:
-        value = -h[k]
-        d_pi[k] += -base / (pi[k] + base) ** 2
+    value = -np.log(h[k])
+    d_pi[k] += -base / (pi[k] * (pi[k] + base))
     for neg in cs.negatives:
         k = pool.index(neg)
-        if not literal:
-            value += -np.log1p(-h[k])
-            d_pi[k] += 1.0 / (pi[k] + base)
-        else:
-            value += -(1.0 - h[k])
-            d_pi[k] += base / (pi[k] + base) ** 2
+        value += -np.log1p(-h[k])
+        d_pi[k] += 1.0 / (pi[k] + base)
 
     # softmax backward: d/ds_t = pi_t * (d_pi_t - sum_s d_pi_s pi_s)
-    d_scores = pi * (d_pi - float(d_pi @ pi)) / temperature
-    d_size = pi * (np.abs(d_pi) + float(np.abs(d_pi) @ pi)) / temperature
+    d_scores = pi * (d_pi - float(d_pi @ pi))
+    d_size = pi * (np.abs(d_pi) + float(np.abs(d_pi) @ pi))
     sink.add(cs.anchor, d_scores @ vecs, d_size @ np.abs(vecs))
     for d, size, r in zip(d_scores, d_size, pool):
         sink.add(r, d * a, size * np.abs(a))

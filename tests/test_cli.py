@@ -425,21 +425,20 @@ def test_retired_setting_flags_are_gone(dataset, tmp_path, capsys, flag, value):
 @pytest.mark.parametrize(
     "lines, contrastive",
     [
-        (["nce_form=literal"], "nce_literal"),
-        (["contrastive=nce", "nce_form=literal", "score_mode=exp"], "nce_literal"),
+        (["nce_form=log"], "nce"),
+        (["score_mode=literal"], "nce"),
         (["score_mode=literal", "contrastive=setform", "nce_form=log"], "setform_literal"),
         (["contrastive=setform", "nce_form=literal"], "setform"),
         (["contrastive=nce", "score_mode=literal"], "nce"),
         (["contrastive=setform", "score_mode=exp"], "setform"),
-        (["contrastive=nce_literal", "nce_form=log"], "nce_literal"),
     ],
 )
 def test_retired_contrastive_forms_replay(
     dataset, tmp_path, capsys, monkeypatch, lines, contrastive
 ):
-    """nce_form/score_mode=literal turns the file's contrastive family (nce by
-    default) into its literal variant; for the other family it is ignored,
-    as training ignored it. Neither key is logged again."""
+    """score_mode=literal turns a setform file into setform_literal; for the
+    nce family (the default) it is ignored, as is nce_form for setform, as
+    training ignored them. Neither key is logged again."""
     monkeypatch.setattr(cli.training, "train", lambda *args, **kwargs: None)
     cfg = tmp_path / "old.cfg"
     cfg.write_text("".join(line + "\n" for line in lines))
@@ -452,6 +451,40 @@ def test_retired_contrastive_forms_replay(
     logged = _logged_config(out)
     assert f"config contrastive={contrastive}" in logged
     assert len(logged) == 12
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["nce_form=literal"],
+        ["contrastive=nce", "nce_form=literal", "score_mode=exp"],
+        ["contrastive=nce_literal", "nce_form=log"],
+        ["contrastive=nce_literal"],
+    ],
+    ids=["nce_form", "nce_file_nce_form", "contrastive_nce_form", "contrastive"],
+)
+def test_retired_nce_literal_exits_2_before_reading_data(
+    dataset, tmp_path, capsys, monkeypatch, lines
+):
+    """A run.log that trained the retired nce_literal variant, named directly
+    or as nce_form=literal in an nce file, exits 2 before any load, and the
+    message lists nce among the variants."""
+
+    def no_load(path):
+        raise AssertionError(f"loaded {path}")
+
+    monkeypatch.setattr(cli.data, "load_paired", no_load)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines))
+    code, out, err = run_cli(
+        capsys, "train", "--manifest", str(dataset / "train.manifest"),
+        "--out", str(tmp_path / "r"), "--config", str(cfg),
+    )
+    assert code == 2
+    assert out == ""
+    assert "contrastive_variant must be one of ('nce', " in err
+    assert "got 'nce_literal'" in err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("key, value", [("score_mode", "bogus"), ("nce_form", "exp")])
@@ -471,8 +504,13 @@ def test_retired_contrastive_form_bad_value_names_its_line(
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--score-mode", "literal"), ("--nce-form", "literal")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--score-mode", "literal"), ("--nce-form", "literal"), ("--contrastive", "nce_literal")],
+)
 def test_contrastive_form_flags_are_gone(dataset, tmp_path, capsys, flag, value):
+    """The retired form flags, and the retired nce_literal choice, exit 2
+    from argparse before --out is made."""
     with pytest.raises(SystemExit) as exit_info:
         cli.main(
             ["train", "--manifest", str(dataset / "train.manifest"),
@@ -515,7 +553,27 @@ def test_synth_split_more_than_three_fractions_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "at most 3" in err
-    assert not (tmp_path / "d" / "train.manifest").exists()
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--split", "0.9,0.9"], "sum to <= 1"),
+        (["--split", "a,b"], "--split expects numbers"),
+        (["--pairs-per-class", "2", "--split", "0.3,0.3,0.3"], "fewer than 3 splits"),
+    ],
+    ids=["sum_above_1", "not_numbers", "class_too_small"],
+)
+def test_synth_bad_split_exit_2_and_creates_no_out(tmp_path, capsys, flags, message):
+    """--split is checked, and the splits are drawn, before --out is made."""
+    code, out, err = run_cli(
+        capsys, "synth", "--classes", "3", "--out", str(tmp_path / "d"), *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_train_unpaired_manifest_exit_2(dataset, tmp_path, capsys):
@@ -719,7 +777,8 @@ def test_embed_non_finite_embeddings_exit_4_and_write_nothing(run_dir, dataset, 
 
 def test_train_diverged_validation_loss_exit_4(tmp_path, capsys):
     """A run whose validation loss overflows halts with exit 4 after that
-    epoch's record, with no best_epoch record and no final.ckpt."""
+    epoch's record and a halt record naming its last step (180 pairs, batch
+    128), with no best_epoch record and no final.ckpt."""
     ds = tmp_path / "ds"
     assert run_cli(
         capsys, "synth", "--classes", "5", "--pairs-per-class", "60", "--sigma", "0.8",
@@ -734,8 +793,10 @@ def test_train_diverged_validation_loss_exit_4(tmp_path, capsys):
         )
     assert code == 4
     lines = out.splitlines()
-    assert [line.split()[0] for line in lines] == ["epoch=1", "epoch=2", "epoch=3"]
-    assert lines[-1].endswith("val_total=inf clamped=0")
+    heads = [line.split()[0] for line in lines]
+    assert heads == ["epoch=1", "epoch=2", "epoch=3", "halt=validation"]
+    assert lines[2].endswith("val_total=inf clamped=0")
+    assert lines[3] == "halt=validation epoch=3 step=2"
     assert "numeric halt: non-finite validation loss at epoch 3" in err
     assert (run / "run.log").read_text().splitlines()[-1] == lines[-1]
     assert not (run / "final.ckpt").exists()

@@ -18,7 +18,7 @@ RELU_CHECKS = {
     "classifier_cross_entropy",
 }
 # every check that scores the gradient of an NCE variant
-NCE_CHECKS = {"loss_c_nce_log", "loss_c_nce_literal", "loss_total"}
+NCE_CHECKS = {"loss_c_nce_log", "loss_total"}
 
 
 @pytest.fixture(scope="module")
@@ -92,13 +92,13 @@ def test_dropout_mask_backward_fault_is_caught(monkeypatch):
 
 
 def test_nce_image_gradient_fault_is_caught(monkeypatch):
-    """A 0.1% error in the image gradient of both NCE variants fails exactly
-    the checks that score them, the literal form on its own as well."""
+    """A 0.1% error in the image gradient of the NCE variant fails exactly
+    the checks that score it."""
     contrastive_loss = losses.contrastive_loss
 
     def faulty(*args, **kwargs):
         value, g_image, g_text, clamped = contrastive_loss(*args, **kwargs)
-        if kwargs["variant"] in ("nce", "nce_literal"):
+        if kwargs["variant"] == "nce":
             g_image = 1.001 * g_image
         return value, g_image, g_text, clamped
 

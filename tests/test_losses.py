@@ -323,16 +323,6 @@ def test_nce_loss_uniform_embeddings_closed_form():
     assert value == pytest.approx(expected, abs=1e-10)
 
 
-def test_nce_literal_uniform_embeddings_closed_form():
-    n_neg = 3
-    o_i = np.ones((n_neg + 2, 4))
-    o_t = np.ones((1, 4))
-    cs = _one_set(0, 1, [2 + k for k in range(n_neg)])
-    value, *_ = contrastive_loss(cs, o_i, o_t, variant="nce_literal")
-    h = 1.0 / (1 + n_neg)
-    assert value == pytest.approx(-h - n_neg * (1 - h), abs=1e-10)
-
-
 def test_nce_empty_sets_zero():
     value, g_i, g_t, clamped = contrastive_loss(
         [], np.ones((2, 2)), np.ones((2, 2)), variant="nce"
@@ -341,8 +331,9 @@ def test_nce_empty_sets_zero():
 
 
 def test_nce_form_validation():
-    """The retired nce_form and score_mode values name no variant."""
-    for form in ("bogus", "log", "exp", "literal", "nce_log", "setform_exp"):
+    """The retired nce_form and score_mode values, and the retired
+    nce_literal variant, name no variant."""
+    for form in ("bogus", "log", "exp", "literal", "nce_log", "setform_exp", "nce_literal"):
         with pytest.raises(ConfigError, match="contrastive_variant"):
             contrastive_loss([], np.ones((1, 1)), np.ones((1, 1)), variant=form)
 
@@ -408,7 +399,7 @@ def test_vectorised_losses_match_loop_oracle(batch, seed):
             for variant in CONTRASTIVE_VARIANTS:
                 _assert_matches_oracle(
                     contrastive_loss(sets, o_i, o_t, variant=variant),
-                    oracle.contrastive_loss(refs, o_i, o_t, variant, 1.0),
+                    oracle.contrastive_loss(refs, o_i, o_t, variant),
                 )
 
 
@@ -419,7 +410,7 @@ def test_loop_oracle_comparison_catches_a_relative_gradient_error(variant):
     labels = np.array([0, 1, 2, 0, 1])
     o_i, o_t = rng.uniform(0.5, 1.5, (5, 3)), rng.uniform(0.5, 1.5, (5, 3))
     sets, _ = sample_contrastive_sets(labels, 2, np.random.default_rng(0))
-    want = oracle.contrastive_loss(oracle.as_refs(sets, 5), o_i, o_t, variant, 1.0)
+    want = oracle.contrastive_loss(oracle.as_refs(sets, 5), o_i, o_t, variant)
     value, g_i, g_t, clamped = contrastive_loss(sets, o_i, o_t, variant=variant)
     _assert_matches_oracle((value, g_i, g_t, clamped), want)
     for off in ((g_i * (1 + 1e-9), g_t), (g_i, g_t * (1 + 1e-9))):

@@ -154,8 +154,9 @@ def test_train_records_best_epoch(tmp_path, capsys, monkeypatch):
 
 
 def test_train_halts_on_non_finite_validation_loss_at_first_epoch(tmp_path, monkeypatch):
-    # no epoch is finite: the epoch's record is written, then the run halts
-    # before any checkpoint or best_epoch record claims a best model
+    # no epoch is finite: the epoch's record and a halt record after its 3
+    # steps (24 pairs, batch 8) are written, then the run halts before any
+    # checkpoint or best_epoch record claims a best model
     monkeypatch.setattr(training, "validation_loss", lambda *a: float("nan"))
     paired = tiny_paired(classes=3, per_class=10, d_image=6, d_text=5)
     train_pair, val_pair = data.split(paired, [0.8, 0.2], seed=0)
@@ -166,14 +167,15 @@ def test_train_halts_on_non_finite_validation_loss_at_first_epoch(tmp_path, monk
             log_stream=log, echo=False,
         )
     lines = log.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("epoch=1 ")
+    assert len(lines) == 2 and lines[0].startswith("epoch=1 ")
     assert "val_total=nan" in lines[0]
+    assert lines[1] == "halt=validation epoch=1 step=3"
     assert list(tmp_path.iterdir()) == []
 
 
 def test_train_halts_on_non_finite_training_loss_naming_its_epoch(monkeypatch):
     # two steps an epoch (30 pairs, batch 15) and no validation set: the
-    # fifth loss is epoch 3's first
+    # fifth loss is epoch 3's first, and a halt record names that step
     total_loss, calls = losses.total_loss, []
 
     def nan_at_fifth(*args):
@@ -188,7 +190,9 @@ def test_train_halts_on_non_finite_training_loss_naming_its_epoch(monkeypatch):
         training.train(
             paired, None, small_config(epochs=4, batch=15), log_stream=log, echo=False
         )
-    assert [line.split()[0] for line in log.getvalue().splitlines()] == ["epoch=1", "epoch=2"]
+    lines = log.getvalue().splitlines()
+    assert [line.split()[0] for line in lines] == ["epoch=1", "epoch=2", "halt=train"]
+    assert lines[-1] == "halt=train epoch=3 step=1"
 
 
 def test_train_without_validation_set_trains_the_same_model(tmp_path, monkeypatch):
@@ -276,7 +280,7 @@ def test_no_contrastive_variant_is_an_alias():
         mb = training.sample_minibatch(paired, cfg.batch, nn.rng(cfg.seed, "minibatch"))
         training.train_step(m, mb, cfg, nn.rng(cfg.seed, "negatives"))
         trained.add(b"".join(p.value.tobytes() for p in m.params()))
-    assert len(trained) == len(losses.CONTRASTIVE_VARIANTS) == 4
+    assert len(trained) == len(losses.CONTRASTIVE_VARIANTS) == 3
 
 
 def test_training_deterministic_per_seed():
